@@ -378,10 +378,10 @@ class LogAppendPolicy(AllocPolicy):
             raise _no_space(store.volume, clusters)
 
     def clean(self, store: "ObjectStore") -> int:
-        """Compact all live clusters toward cluster 0, preserving address order.
+        """Compact all owner runs toward cluster 0, preserving address order.
 
         Commits deferred frees first (the cleaner only reclaims committed
-        space), rewrites markers and object records for every moved cluster,
+        space), moves every owner run and object record along with the data,
         and leaves the head at the start of the single remaining free run.
         Returns the number of clusters relocated.
         """
@@ -389,17 +389,15 @@ class LogAppendPolicy(AllocPolicy):
         store.checkpoint_now()
         moved = 0
         write_ptr = 0
-        markers = volume.markers
-        new_markers: dict[int, tuple] = {}
+        compacted: dict[int, tuple] = {}
         placements: dict = {}
-        for cluster in sorted(markers):
-            key, seq = markers[cluster]
-            if cluster != write_ptr:
-                moved += 1
-            new_markers[write_ptr] = (key, seq)
-            placements.setdefault(key, []).append((seq, write_ptr))
-            write_ptr += 1
-        volume.markers = new_markers
+        for offset, (length, key, seq) in sorted(volume.owners.items()):
+            if offset != write_ptr:
+                moved += length
+            compacted[write_ptr] = (length, key, seq)
+            placements.setdefault(key, []).append((seq, write_ptr, length))
+            write_ptr += length
+        volume.owners = compacted
         volume.free.clear()
         if write_ptr < volume.total_clusters:
             volume.free.add(write_ptr, volume.total_clusters - write_ptr)

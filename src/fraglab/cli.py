@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     p.add_argument("config")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("scan", help="run the marker-scanner oracle on a snapshot")
+    p = sub.add_parser("scan", help="run the owner-run scanner oracle on a snapshot")
     p.add_argument("snapshot")
     p.set_defaults(fn=_cmd_scan)
 

@@ -47,7 +47,7 @@ class InvariantViolationError(FraglabError):
 
 
 class CorruptionError(InvariantViolationError):
-    """The marker scan found an inconsistent layout (gap, duplicate, orphan)."""
+    """The owner-run scan found an inconsistent layout (gap, duplicate, overlap, orphan)."""
 
     def __init__(self, message, cluster=None):
         super().__init__(message)

@@ -23,6 +23,7 @@ from .errors import (
     InfeasibleSpecError,
     InvariantViolationError,
     NoSpaceError,
+    UsageError,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_NO_SPACE,
@@ -300,7 +301,7 @@ def _run_cell(payload: tuple[str, dict]) -> dict:
         config = ExperimentConfig.from_dict(doc)
         reports = run_experiment(config)
         return {"cell_key": cell_key, "rows": [report_csv_row(r, cell_key) for r in reports]}
-    except (InfeasibleSpecError, ConfigurationError) as exc:
+    except (ConfigurationError, UsageError) as exc:
         return {"cell_key": cell_key, "error": str(exc), "exit_code": EXIT_CONFIG}
     except NoSpaceError as exc:
         return {"cell_key": cell_key, "error": str(exc), "exit_code": EXIT_NO_SPACE}

@@ -5,18 +5,21 @@ sized chunks (or allocates the whole object up front when a size hint is
 configured); an update writes a complete new copy and then atomically swaps
 it for the old one, so a full version of the object exists at every point.
 
-Every allocated cluster is tagged with (owner, sequence) markers.  The
-marker scanner (scan_layout) rebuilds all object layouts from those tags
+Every piece the allocation policy hands out is tagged on the volume with an
+owner run: (length, owner key, sequence number of its first cluster).  The
+layout scanner (scan_layout) rebuilds all object layouts from those runs
 alone, giving an independent check on the record-keeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .alloc import AllocPolicy, make_policy
 from .errors import (
+    ConfigurationError,
     CorruptionError,
     NoSpaceError,
     NotFoundError,
@@ -24,6 +27,24 @@ from .errors import (
     UsageError,
 )
 from .volume import CostModel, Extent, Volume
+
+
+# the ObjectStore.to_state() format; from_state refuses every other version
+SNAPSHOT_VERSION = 2
+
+
+def _coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
+    """Merge (offset, length) pieces, in logical order, where one ends as the next begins."""
+    out: list[Extent] = []
+    prev_end = -1
+    for offset, length in pieces:
+        if offset == prev_end:
+            last = out[-1]
+            out[-1] = Extent(last.offset, last.length + length)
+        else:
+            out.append(Extent(offset, length))
+        prev_end = offset + length
+    return out
 
 
 @dataclass
@@ -150,6 +171,7 @@ class ObjectStore:
             raise UsageError(f"object {oid!r} already exists")
         if size <= 0:
             raise UsageError("object size must be > 0")
+        self._prepare(size)
         extents = self._alloc_stream(oid, size)
         rec = ObjectRecord(id=oid, size=size, extents=extents)
         self._records[oid] = rec
@@ -172,6 +194,9 @@ class ObjectStore:
         rec = self._require(oid)
         if new_size <= 0:
             raise UsageError("object size must be > 0")
+        # the policy may move objects (a cleaner pass), so it runs before the
+        # transaction reads the old extents
+        self._prepare(new_size)
         txn = _ReplaceTxn(
             oid=oid,
             new_size=new_size,
@@ -200,11 +225,7 @@ class ObjectStore:
         """The atomic swap: one step after which the new version is current."""
         rec = self._records[txn.oid]
         self.volume.clear_markers(txn.old_extents)
-        seq = 0
-        for ext in txn.new_extents:
-            for cluster in range(ext.offset, ext.end):
-                self.volume.set_marker(cluster, txn.oid, seq)
-                seq += 1
+        self.volume.rekey_owners(txn.new_extents, txn.temp_key, txn.oid)
         rec.extents = txn.new_extents
         rec.size = txn.new_size
         rec.generation += 1
@@ -247,48 +268,59 @@ class ObjectStore:
         return rec, self.volume.read_cost(rec.extents, self.cost_model)
 
     def scan_layout(self) -> dict[Hashable, list[Extent]]:
-        """Rebuild every object's extent list from cluster markers alone.
+        """Rebuild every object's extent list from the volume's owner runs alone.
 
-        Ignores the object records entirely; any marker gap, duplicate or
-        orphan is reported as corruption with the offending cluster.
+        Ignores the object records entirely.  One sweep over the runs in
+        offset order, beside the free and deferred runs, finds leftover temp
+        runs, runs outside the volume, overlapping runs and runs over
+        unallocated clusters; per key, the runs in sequence order must then
+        number the clusters 0, 1, 2, ... with no gap or repeat.  Each finding
+        is a CorruptionError naming the offending cluster.
         """
-        deferred_clusters = set()
-        for ext in self.volume.deferred:
-            deferred_clusters.update(range(ext.offset, ext.end))
-        by_key: dict[Hashable, list[tuple[int, int]]] = {}
-        for cluster, (key, seq) in self.volume.markers.items():
+        volume = self.volume
+        holes = sorted(chain(zip(volume.free.offsets, volume.free.lengths), volume.deferred))
+        n_holes = len(holes)
+        h = 0
+        prev_end = 0
+        by_key: dict[Hashable, list[tuple[int, int, int]]] = {}
+        for offset, (length, key, seq) in sorted(volume.owners.items()):
+            end = offset + length
             if isinstance(key, tuple) and key and key[0] == "~tmp":
                 raise CorruptionError(
-                    f"cluster {cluster} holds a temp marker outside any replacement",
-                    cluster=cluster,
+                    f"cluster {offset} holds a temp run outside any replacement", cluster=offset
                 )
-            if self.volume.free.intersects(cluster, 1) or cluster in deferred_clusters:
+            if length < 1 or end > volume.total_clusters:
                 raise CorruptionError(
-                    f"cluster {cluster} is marked but not allocated", cluster=cluster
+                    f"owner run ({offset},{length}) lies outside the volume", cluster=offset
                 )
-            by_key.setdefault(key, []).append((seq, cluster))
+            if offset < prev_end:
+                raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
+            while h < n_holes and holes[h][0] + holes[h][1] <= offset:
+                h += 1
+            if h < n_holes and holes[h][0] < end:
+                cluster = max(offset, holes[h][0])
+                raise CorruptionError(
+                    f"cluster {cluster} is owned but not allocated", cluster=cluster
+                )
+            prev_end = end
+            by_key.setdefault(key, []).append((seq, offset, length))
         layout: dict[Hashable, list[Extent]] = {}
-        for key, pairs in by_key.items():
-            pairs.sort()
-            extents: list[Extent] = []
-            prev_seq = -1
-            for seq, cluster in pairs:
-                if seq == prev_seq:
+        for key, runs in by_key.items():
+            runs.sort()
+            expected = 0
+            for seq, offset, length in runs:
+                if seq < expected:
                     raise CorruptionError(
-                        f"object {key!r}: duplicate sequence {seq} at cluster {cluster}",
-                        cluster=cluster,
+                        f"object {key!r}: duplicate sequence {seq} at cluster {offset}",
+                        cluster=offset,
                     )
-                if seq != prev_seq + 1:
+                if seq > expected:
                     raise CorruptionError(
-                        f"object {key!r}: sequence gap before {seq} at cluster {cluster}",
-                        cluster=cluster,
+                        f"object {key!r}: sequence gap before {seq} at cluster {offset}",
+                        cluster=offset,
                     )
-                if extents and extents[-1].end == cluster:
-                    extents[-1] = Extent(extents[-1].offset, extents[-1].length + 1)
-                else:
-                    extents.append(Extent(cluster, 1))
-                prev_seq = seq
-            layout[key] = extents
+                expected = seq + length
+            layout[key] = _coalesce((offset, length) for _seq, offset, length in runs)
         return layout
 
     def verify_layout(self) -> None:
@@ -316,20 +348,14 @@ class ObjectStore:
         self.config.policy.note_checkpoint()
         self._ops_since_checkpoint = 0
 
-    def rewrite_layout(self, placements: dict[Hashable, list[tuple[int, int]]]) -> None:
-        """Apply a cleaner's relocation map: (seq, cluster) lists per object."""
-        for oid, pairs in placements.items():
+    def rewrite_layout(self, placements: dict[Hashable, list[tuple[int, int, int]]]) -> None:
+        """Apply a cleaner's relocation map: (first_seq, offset, length) runs per object."""
+        for oid, runs in placements.items():
             rec = self._records.get(oid)
             if rec is None:
                 raise CorruptionError(f"cleaner moved clusters of unknown object {oid!r}")
-            pairs.sort()
-            extents: list[Extent] = []
-            for _seq, cluster in pairs:
-                if extents and extents[-1].end == cluster:
-                    extents[-1] = Extent(extents[-1].offset, extents[-1].length + 1)
-                else:
-                    extents.append(Extent(cluster, 1))
-            rec.extents = extents
+            runs.sort()
+            rec.extents = _coalesce((offset, length) for _seq, offset, length in runs)
 
     def take_write_interval(self) -> tuple[int, float]:
         """Bytes written and modeled seconds since the last call."""
@@ -357,33 +383,31 @@ class ObjectStore:
                 allocated = need
         return plan
 
+    def _prepare(self, size_bytes: int) -> None:
+        self.config.policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
+
     def _alloc_stream(self, key: Hashable, size_bytes: int) -> list[Extent]:
-        """Allocate an object's clusters, marking as it goes.
+        """Allocate an object's clusters, writing one owner run per piece.
 
         Appends chunk by chunk without a size hint; rolls every partial
         allocation back (immediate frees, the data never existed durably)
         if space runs out mid-way.
         """
         volume = self.volume
-        policy = self.config.policy
-        policy.prepare(self, -(-size_bytes // volume.cluster_size))
-        extents: list[Extent] = []
+        alloc = self.config.policy.alloc
+        pieces: list[Extent] = []
         seq = 0
         try:
             for need in self._append_plan(size_bytes):
-                for ext in policy.alloc(volume, need):
-                    for cluster in range(ext.offset, ext.end):
-                        volume.set_marker(cluster, key, seq)
-                        seq += 1
-                    if extents and extents[-1].end == ext.offset:
-                        extents[-1] = Extent(extents[-1].offset, extents[-1].length + ext.length)
-                    else:
-                        extents.append(ext)
+                for ext in alloc(volume, need):
+                    volume.set_owner(ext.offset, ext.length, key, seq)
+                    seq += ext.length
+                    pieces.append(ext)
         except NoSpaceError:
-            volume.clear_markers(extents)
-            volume.release(extents, "immediate")
+            volume.clear_markers(pieces)
+            volume.release(pieces, "immediate")
             raise
-        return extents
+        return _coalesce(pieces)
 
     def _account_write(self, size_bytes: int, extents: list[Extent]) -> None:
         self._interval_bytes += size_bytes
@@ -404,6 +428,7 @@ class ObjectStore:
         if self._pending is not None:
             raise UsageError("cannot snapshot with a replacement in flight")
         return {
+            "version": SNAPSHOT_VERSION,
             "volume": self.volume.to_state(),
             "config": {
                 "policy": self.config.policy.kind,
@@ -426,6 +451,12 @@ class ObjectStore:
 
     @classmethod
     def from_state(cls, state: dict) -> "ObjectStore":
+        version = state.get("version")
+        if version != SNAPSHOT_VERSION:
+            raise ConfigurationError(
+                f"snapshot format version {version!r} is not supported"
+                f" (this fraglab reads version {SNAPSHOT_VERSION})"
+            )
         volume = Volume.from_state(state["volume"])
         cfg = state["config"]
         config = StoreConfig(

@@ -5,14 +5,16 @@ coalesced runs (no two free runs are ever adjacent), plus an ordered list of
 deferred frees that become reusable only at the next checkpoint, mirroring
 allocators whose log entry must commit before freed space can be recycled.
 
-Allocated clusters carry marker payloads (owner key, sequence number) written
-by the object layer; the marker scanner reconstructs object layouts from them
-without consulting any object records.
+Allocated clusters are tagged by owner runs written by the object layer: each
+run covers a contiguous range of clusters and names its owner key and the
+sequence number of its first cluster, the rest following in order.  The
+layout scanner reconstructs object layouts from the runs without consulting
+any object records.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -184,8 +186,8 @@ class Volume:
     free: FreeExtentIndex = field(default_factory=FreeExtentIndex)
     deferred: list[Extent] = field(default_factory=list)
     deferred_total: int = 0
-    # cluster -> (owner key, allocation-order sequence number)
-    markers: dict[int, tuple] = field(default_factory=dict)
+    # first cluster of a run -> (length, owner key, sequence number of that cluster)
+    owners: dict[int, tuple] = field(default_factory=dict)
 
     @property
     def capacity_bytes(self) -> int:
@@ -238,16 +240,51 @@ class Volume:
         self.deferred.clear()
         self.deferred_total = 0
 
-    # -- markers ----------------------------------------------------------
+    # -- owner runs ---------------------------------------------------------
 
-    def set_marker(self, cluster: int, key, seq: int) -> None:
-        self.markers[cluster] = (key, seq)
+    def set_owner(self, offset: int, length: int, key, first_seq: int) -> None:
+        """Tag clusters [offset, offset+length) as sequence first_seq.. of key."""
+        if offset in self.owners:
+            raise InvariantViolationError(f"cluster {offset} already starts an owner run")
+        self.owners[offset] = (length, key, first_seq)
+
+    def _runs_covering(self, extents: Iterable[Extent]) -> Iterator[tuple[int, int, tuple]]:
+        """(offset, extent end, run) for each run covering the extents, in order.
+
+        Each extent must start where a run starts; the caller may replace or
+        drop the run it was handed before asking for the next.
+        """
+        for ext in extents:
+            pos = ext.offset
+            end = pos + ext.length
+            while pos < end:
+                run = self.owners.get(pos)
+                if run is None:
+                    raise InvariantViolationError(f"cluster {pos} starts no owner run")
+                yield pos, end, run
+                pos += run[0]
 
     def clear_markers(self, extents: Iterable[Extent]) -> None:
-        markers = self.markers
-        for ext in extents:
-            for cluster in range(ext.offset, ext.end):
-                del markers[cluster]
+        """Drop the owner runs covering each extent.
+
+        A run reaching past the extent's end is split there and keeps its tail.
+        """
+        owners = self.owners
+        for pos, end, (length, key, seq) in self._runs_covering(extents):
+            del owners[pos]
+            if pos + length > end:
+                owners[end] = (pos + length - end, key, seq + end - pos)
+
+    def rekey_owners(self, extents: Iterable[Extent], old_key, new_key) -> None:
+        """Hand the runs covering each extent from old_key to new_key.
+
+        Sequence numbers stay as they are; a run owned by any other key, or
+        reaching past its extent, is an invariant breach.
+        """
+        for pos, end, (length, key, seq) in self._runs_covering(extents):
+            if key != old_key or pos + length > end:
+                raise InvariantViolationError(f"cluster {pos} does not start a run of {old_key!r}")
+            self.owners[pos] = (length, new_key, seq)
 
     # -- cost model ---------------------------------------------------------
 
@@ -298,9 +335,9 @@ class Volume:
         """Recount free + deferred + allocated; abort on any breach.
 
         Only valid between operations (mid-protocol states may legitimately
-        hold clusters that are neither marked nor free).  deep=True also
-        sweeps every marker for placement inside allocated space, which is
-        linear in the number of allocated clusters.
+        hold clusters that are neither owned nor free).  deep=True also
+        checks that no two owner runs overlap and that none lies outside the
+        volume or touches a free or deferred run, in O(runs log runs).
         """
         free_recount = sum(self.free.lengths)
         if free_recount != self.free.total_free:
@@ -315,16 +352,31 @@ class Volume:
         deferred_recount = sum(e.length for e in self.deferred)
         if deferred_recount != self.deferred_total:
             raise InvariantViolationError("deferred total drifted from its extents")
-        marked = len(self.markers)
-        if free_recount + deferred_recount + marked != self.total_clusters:
+        owned = sum(run[0] for run in self.owners.values())
+        if free_recount + deferred_recount + owned != self.total_clusters:
             raise InvariantViolationError(
                 f"conservation breach: free {free_recount} + deferred {deferred_recount}"
-                f" + allocated {marked} != {self.total_clusters}"
+                f" + allocated {owned} != {self.total_clusters}"
             )
         if deep:
-            for cluster in self.markers:
-                if self.free.intersects(cluster, 1):
-                    raise InvariantViolationError(f"marked cluster {cluster} is in the free set")
+            self._audit_owner_runs()
+
+    def _audit_owner_runs(self) -> None:
+        deferred = sorted(self.deferred)
+        deferred_offsets = [e.offset for e in deferred]
+        prev_end = 0
+        for offset, (length, _key, _seq) in sorted(self.owners.items()):
+            end = offset + length
+            if length < 1 or end > self.total_clusters:
+                raise InvariantViolationError(f"owner run ({offset},{length}) is malformed")
+            if offset < prev_end:
+                raise InvariantViolationError(f"owner runs overlap at cluster {offset}")
+            if self.free.intersects(offset, length):
+                raise InvariantViolationError(f"owner run at {offset} lies in the free set")
+            i = bisect_left(deferred_offsets, end) - 1
+            if i >= 0 and deferred[i].end > offset:
+                raise InvariantViolationError(f"owner run at {offset} lies in a deferred extent")
+            prev_end = end
 
     # -- snapshots ------------------------------------------------------------
 
@@ -335,7 +387,7 @@ class Volume:
             "bands": [[b.start_cluster, b.end_cluster, b.transfer_rate] for b in self.bands],
             "free": [[e.offset, e.length] for e in self.free.runs()],
             "deferred": [[e.offset, e.length] for e in self.deferred],
-            "markers": [[cluster, key, seq] for cluster, (key, seq) in sorted(self.markers.items())],
+            "owners": [[off, length, key, seq] for off, (length, key, seq) in sorted(self.owners.items())],
         }
 
     @classmethod
@@ -349,8 +401,8 @@ class Volume:
             ext = Extent(int(off), int(length))
             vol.deferred.append(ext)
             vol.deferred_total += ext.length
-        for cluster, key, seq in state["markers"]:
-            vol.markers[int(cluster)] = (key, int(seq))
+        for off, length, key, seq in state["owners"]:
+            vol.owners[int(off)] = (int(length), key, int(seq))
         return vol
 
 

@@ -60,7 +60,7 @@ def flat_volume():
 def drive_mixed_ops(store, seed, n_ops, size_range, audit_every=1, scan_every=100):
     """Random put/safe-write/delete/checkpoint storm with invariant checks.
 
-    Conservation is recounted after every operation; the marker scanner is
+    Conservation is recounted after every operation; the layout scanner is
     cross-checked against the records every scan_every ops and at the end.
     NoSpace from a put or replace is a legal outcome (the op must roll back
     cleanly); the driver then trims the store and keeps going.

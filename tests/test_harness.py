@@ -169,6 +169,21 @@ class TestGrid:
         rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
         assert len(rows) == 9  # the feasible half still produced its series
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_usage_error_cell_reported_not_fatal(self, tmp_path, parallelism):
+        doc = small_grid_doc(tmp_path, seeds=(1,))
+        doc["base"]["store"]["free_mode"] = "immediate"  # ntfs_like rejects this
+        doc["axes"]["policy"] = ["first_fit", {"kind": "ntfs_like"}]
+        summary = harness.run_grid(harness.ExperimentGrid.from_dict(doc), parallelism=parallelism)
+        assert summary["cells"] == 2
+        assert [(f["cell_key"], f["exit_code"]) for f in summary["failed"]] == [
+            ("pol=ntfs_like|seed=1", EXIT_CONFIG)
+        ]
+        assert json.loads((tmp_path / "grid.json").read_text()) == summary
+        rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(r.startswith("pol=first_fit|seed=1,first_fit,") for r in rows)
+
     def test_unknown_axis_rejected(self, tmp_path):
         doc = small_grid_doc(tmp_path)
         doc["axes"]["cluster_count"] = [1, 2]
@@ -205,7 +220,7 @@ class TestCli:
 
         bulk_load(store, config.workload)
         state = store.to_state()
-        state["volume"]["markers"][5][2] += 7  # corrupt one sequence number
+        state["volume"]["owners"][5][3] += 7  # corrupt one run's sequence number
         snap = tmp_path / "bad.json"
         snap.write_text(json.dumps(state))
         assert cli.main(["scan", str(snap)]) == EXIT_INVARIANT
@@ -268,3 +283,39 @@ def test_snapshot_persists_through_files(tmp_path):
     clone = harness.load_snapshot(str(path))
     clone.verify_layout()
     assert clone.to_state() == store.to_state()
+
+def _bulk_loaded_store():
+    config = harness.ExperimentConfig.from_dict(small_config_doc())
+    store = config.build()
+    from fraglab.workload import bulk_load
+
+    bulk_load(store, config.workload)
+    return store
+
+
+def test_snapshot_is_versioned_and_holds_owner_runs():
+    state = _bulk_loaded_store().to_state()
+    assert state["version"] == 2
+    assert "markers" not in state["volume"]
+    owners = state["volume"]["owners"]
+    assert all(len(run) == 4 for run in owners)
+    # one run per piece: 40 objects of two 64 KiB appends each
+    assert len(owners) == 80
+    assert sum(length for _off, length, _key, _seq in owners) == 40 * 32
+
+
+def test_unversioned_snapshot_is_rejected_with_one_line(tmp_path, capsys):
+    state = _bulk_loaded_store().to_state()
+    # the format before owner runs: no version, one marker per cluster
+    del state["version"]
+    owners = state["volume"].pop("owners")
+    state["volume"]["markers"] = [
+        [off + i, key, seq + i] for off, length, key, seq in owners for i in range(length)
+    ]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert cli.main(["scan", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "version" in err

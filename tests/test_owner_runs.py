@@ -1,0 +1,121 @@
+"""Owner runs against the per-cluster marker model they replaced.
+
+A random sequence of puts, safe writes, deletes and checkpoints runs on a
+small volume, with no-space rollbacks and safe writes aborted at each
+protocol step and then recovered.  After every operation the owner runs,
+expanded cluster by cluster, must equal the reference marker map; between
+operations scan_layout() must equal the reference layout, the records must
+agree with it, and the deep audit must pass.
+"""
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from fraglab.alloc import make_policy
+from fraglab.errors import NoSpaceError, SimulatedAbortError
+from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
+from fraglab.volume import Band, create_volume
+from marker_model import MarkerModel, expand_owner_runs, record_policy
+
+TOTAL = 128          # clusters; a power of two so buddy can run
+CLUSTER = 4096
+COMMITTED = ("replaced", "old_released")
+
+CONFIGS = [
+    ("first_fit", "immediate", 1),
+    ("first_fit", "deferred", 3),
+    ("best_fit", "deferred", 1),
+    ("worst_fit", "immediate", 1),
+    ("buddy", "immediate", 1),
+    ("ntfs_like", "deferred", 2),
+    ("log_append", "deferred", 1),
+    ("log_append", "immediate", 1),
+]
+
+# large enough that a few live objects fill the volume and force rollbacks
+sizes = st.integers(8 * CLUSTER - 100, 48 * CLUSTER)
+put = st.tuples(st.just("put"), sizes)
+ops = st.lists(
+    st.one_of(
+        put,
+        put,
+        st.tuples(st.just("safe_write"), st.integers(0, 1 << 16), sizes,
+                  st.sampled_from((None,) + SAFE_WRITE_STEPS)),
+        st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("checkpoint")),
+    ),
+    min_size=15,
+    max_size=60,
+)
+
+
+def _abort_at(step):
+    def hook(name):
+        if name == step:
+            raise SimulatedAbortError(name)
+
+    return hook
+
+
+def _check(store, model):
+    assert expand_owner_runs(store.volume.owners) == model.markers
+    assert len(store.volume.owners) <= model.live_pieces
+    if store._pending is None:
+        assert store.scan_layout() == model.layout()
+        store.verify_layout()
+        store.volume.audit(deep=True)
+
+
+@pytest.mark.parametrize("kind, free_mode, checkpoint_every", CONFIGS)
+# the explain phase takes minutes to report a failure on these long op lists
+@settings(max_examples=30, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(ops=ops)
+def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every, ops):
+    model = MarkerModel()
+    policy = record_policy(make_policy(kind, fragmenting=True), model)
+    volume = create_volume(TOTAL, CLUSTER, [Band(0, TOTAL, 60e6)])
+    store = ObjectStore(volume, StoreConfig(policy=policy, write_request_size=4 * CLUSTER,
+                                            free_mode=free_mode,
+                                            checkpoint_every=checkpoint_every))
+    next_id = 0
+    for op in ops:
+        model.begin()
+        if op[0] == "put":
+            try:
+                store.put_new(next_id, op[1])
+                model.mark(next_id)
+                model.generation[next_id] = 0
+            except NoSpaceError:
+                pass
+            next_id += 1
+        elif op[0] == "safe_write" and store.live_count():
+            oid = store.id_at(op[1] % store.live_count())
+            step = op[3]
+            store.step_hook = _abort_at(step) if step else None
+            temp = ("~tmp", oid, model.generation[oid] + 1)
+            try:
+                store.safe_write(oid, op[2])
+            except NoSpaceError:
+                pass
+            except SimulatedAbortError:
+                if step in COMMITTED:
+                    model.clear(oid)
+                    model.mark(oid)
+                    model.generation[oid] += 1
+                else:
+                    model.mark(temp)
+                _check(store, model)
+                store.recover()
+                model.clear(temp)
+            else:
+                model.clear(oid)
+                model.mark(oid)
+                model.generation[oid] += 1
+            store.step_hook = None
+        elif op[0] == "delete" and store.live_count():
+            oid = store.id_at(op[1] % store.live_count())
+            store.delete(oid)
+            model.clear(oid)
+        elif op[0] == "checkpoint":
+            store.checkpoint_now()
+        _check(store, model)

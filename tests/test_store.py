@@ -63,11 +63,11 @@ class TestPutNew:
         store = make_store(total=64, write_request_size=4096)
         store.put_new("big", 60 * 4096)
         free_before = list(store.volume.free.runs())
-        markers_before = dict(store.volume.markers)
+        owners_before = dict(store.volume.owners)
         with pytest.raises(NoSpaceError):
             store.put_new("too-big", 10 * 4096)
         assert list(store.volume.free.runs()) == free_before
-        assert store.volume.markers == markers_before
+        assert store.volume.owners == owners_before
         assert "too-big" not in store
         store.volume.audit(deep=True)
 
@@ -254,27 +254,87 @@ class TestScanner:
     def test_scan_detects_sequence_gap(self):
         store = make_store(size_hint=True)
         store.put_new("a", 4 * 4096)
-        victim = store._records["a"].extents[0].offset + 1
-        key, seq = store.volume.markers[victim]
-        store.volume.markers[victim] = (key, seq + 100)
-        with pytest.raises(CorruptionError):
+        off = store._records["a"].extents[0].offset
+        owners = store.volume.owners
+        assert owners[off] == (4, "a", 0)
+        # split the run; its second cluster now claims sequence 101
+        owners[off] = (1, "a", 0)
+        owners[off + 1] = (3, "a", 101)
+        with pytest.raises(CorruptionError, match="sequence gap") as err:
             store.scan_layout()
+        assert err.value.cluster == off + 1
 
     def test_scan_detects_duplicate_sequence(self):
         store = make_store(size_hint=True)
         store.put_new("a", 4 * 4096)
-        ext = store._records["a"].extents[0]
-        store.volume.markers[ext.offset + 1] = ("a", 0)  # clashes with seq 0
-        with pytest.raises(CorruptionError):
+        off = store._records["a"].extents[0].offset
+        owners = store.volume.owners
+        owners[off] = (1, "a", 0)
+        owners[off + 1] = (3, "a", 0)  # clashes with seq 0
+        with pytest.raises(CorruptionError, match="duplicate sequence"):
             store.scan_layout()
 
     def test_scan_detects_orphan_marker(self):
         store = make_store(size_hint=True)
         store.put_new("a", 4 * 4096)
-        store.volume.markers[4000] = ("ghost", 0)  # cluster 4000 is free
+        store.volume.owners[4000] = (1, "ghost", 0)  # cluster 4000 is free
         with pytest.raises(CorruptionError) as err:
             store.scan_layout()
         assert err.value.cluster == 4000
+
+    def test_scan_detects_run_over_deferred_space(self):
+        store = make_store(size_hint=True, checkpoint_every=10)
+        store.put_new("a", 4 * 4096)
+        store.put_new("b", 4 * 4096)
+        store.delete("a")  # (0,4) is deferred until the next checkpoint
+        store.volume.owners[2] = (1, "ghost", 0)
+        with pytest.raises(CorruptionError, match="owned but not allocated") as err:
+            store.scan_layout()
+        assert err.value.cluster == 2
+
+    def test_scan_detects_orphan_key(self):
+        store = make_store(size_hint=True)
+        store.put_new("a", 4 * 4096)
+        (ext,) = store.volume.free.runs()
+        store.volume.free.take(0, ext.offset, 2)
+        store.volume.set_owner(ext.offset, 2, "ghost", 0)  # allocated, but no record
+        assert store.scan_layout()["ghost"] == [Extent(ext.offset, 2)]
+        with pytest.raises(CorruptionError, match="unexpected"):
+            store.verify_layout()
+
+    def test_scan_detects_overlapping_runs(self):
+        store = make_store(size_hint=True)
+        store.put_new("a", 4 * 4096)
+        store.put_new("b", 4 * 4096)
+        off = store._records["a"].extents[0].offset
+        store.volume.owners[off + 2] = (1, "b", 4)  # inside a's run
+        with pytest.raises(CorruptionError, match="overlap") as err:
+            store.scan_layout()
+        assert err.value.cluster == off + 2
+
+    def test_scan_detects_leftover_temp_run(self):
+        store = make_store(size_hint=True)
+        store.put_new("a", 4 * 4096)
+        store.step_hook = _abort_at("temp_written")
+        with pytest.raises(SimulatedAbortError):
+            store.safe_write("a", 4 * 4096)
+        store._pending = None  # forget the transaction instead of recovering
+        with pytest.raises(CorruptionError, match="temp run") as err:
+            store.scan_layout()
+        assert err.value.cluster == 4
+
+    def test_one_owner_run_per_piece_at_any_size(self):
+        store = make_store(total=1 << 16, size_hint=True)
+        store.put_new("big", 64 * MB)
+        assert store.volume.owners == {0: (16384, "big", 0)}
+        store.safe_write("big", 64 * MB)  # one piece re-keyed, one cleared
+        assert store.volume.owners == {16384: (16384, "big", 0)}
+        assert store.scan_layout() == {"big": [Extent(16384, 16384)]}
+        unhinted = make_store(write_request_size=64 * KB)
+        unhinted.put_new("a", 256 * KB)  # four appends: four runs, one extent
+        assert unhinted.volume.owners == {0: (16, "a", 0), 16: (16, "a", 16),
+                                          32: (16, "a", 32), 48: (16, "a", 48)}
+        assert unhinted.scan_layout() == {"a": [Extent(0, 64)]}
 
     def test_mixed_ops_storm_stays_scannable(self):
         store = make_store(total=8192, write_request_size=64 * KB)
@@ -288,6 +348,14 @@ class TestFragmentBound:
         for rec in store.records():
             appends = -(-rec.size // (64 * KB))
             assert fragments_of(rec) <= appends + 1
+
+
+def _abort_at(step):
+    def hook(name):
+        if name == step:
+            raise SimulatedAbortError(name)
+
+    return hook
 
 
 def test_snapshot_round_trip():

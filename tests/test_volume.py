@@ -17,7 +17,7 @@ def test_create_volume_one_free_run():
     vol = create_volume(100, 4096, [Band(0, 100, 60e6)])
     assert list(vol.free.runs()) == [Extent(0, 100)]
     assert vol.deferred == []
-    assert vol.markers == {}
+    assert vol.owners == {}
 
 
 def test_create_volume_rejects_empty():
@@ -224,8 +224,7 @@ def test_random_sequences_match_bitmap_oracle(ops):
 def test_audit_passes_on_consistent_state(flat_volume):
     vol = flat_volume
     vol.free.take(0, 0, 10)
-    for c in range(10):
-        vol.set_marker(c, "x", c)
+    vol.set_owner(0, 10, "x", 0)
     vol.audit()
 
 
@@ -242,12 +241,93 @@ def test_volume_state_round_trip(flat_volume):
     vol = flat_volume
     vol.free.take(0, 0, 30)
     vol.release([Extent(20, 5)], "deferred")
-    for c in range(20):
-        vol.set_marker(c, 7, c)
-    for c in range(25, 30):
-        vol.set_marker(c, 8, c - 25)
-    clone = Volume.from_state(vol.to_state())
+    vol.set_owner(0, 12, 7, 0)
+    vol.set_owner(12, 8, 7, 12)
+    vol.set_owner(25, 5, 8, 0)
+    state = vol.to_state()
+    assert state["owners"] == [[0, 12, 7, 0], [12, 8, 7, 12], [25, 5, 8, 0]]
+    clone = Volume.from_state(state)
     assert list(clone.free.runs()) == list(vol.free.runs())
     assert clone.deferred == vol.deferred
-    assert clone.markers == vol.markers
+    assert clone.owners == vol.owners
     assert clone.bands == vol.bands
+
+
+def test_clear_markers_splits_a_longer_run(flat_volume):
+    vol = flat_volume
+    vol.free.take(0, 0, 10)
+    vol.set_owner(0, 10, "x", 0)
+    vol.clear_markers([Extent(0, 4)])
+    assert vol.owners == {4: (6, "x", 4)}
+    vol.clear_markers([Extent(4, 6)])
+    assert vol.owners == {}
+
+
+def test_clear_markers_walks_consecutive_runs(flat_volume):
+    vol = flat_volume
+    vol.free.take(0, 0, 10)
+    vol.set_owner(0, 3, "x", 0)
+    vol.set_owner(3, 7, "x", 3)
+    vol.clear_markers([Extent(0, 10)])
+    assert vol.owners == {}
+
+
+def test_clear_markers_on_unowned_cluster_is_invariant_violation(flat_volume):
+    vol = flat_volume
+    vol.free.take(0, 0, 10)
+    vol.set_owner(0, 5, "x", 0)
+    with pytest.raises(InvariantViolationError):
+        vol.clear_markers([Extent(0, 10)])  # clusters 5.. carry no run
+    with pytest.raises(InvariantViolationError):
+        vol.clear_markers([Extent(50, 1)])
+
+
+def test_set_owner_rejects_a_second_run_at_one_offset(flat_volume):
+    vol = flat_volume
+    vol.set_owner(0, 5, "x", 0)
+    with pytest.raises(InvariantViolationError):
+        vol.set_owner(0, 2, "y", 0)
+
+
+def test_rekey_owners_keeps_sequences_and_checks_the_key(flat_volume):
+    vol = flat_volume
+    vol.set_owner(0, 3, "tmp", 0)
+    vol.set_owner(3, 2, "tmp", 3)
+    vol.set_owner(5, 2, "other", 0)
+    vol.rekey_owners([Extent(0, 5)], "tmp", "x")
+    assert vol.owners == {0: (3, "x", 0), 3: (2, "x", 3), 5: (2, "other", 0)}
+    with pytest.raises(InvariantViolationError):
+        vol.rekey_owners([Extent(5, 2)], "tmp", "x")
+    with pytest.raises(InvariantViolationError):
+        vol.rekey_owners([Extent(0, 2)], "x", "y")  # the run reaches past the extent
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [("free", "free set"), ("deferred", "deferred"), ("overlap", "overlap"), ("outside", "malformed")],
+)
+def test_deep_audit_catches_misplaced_runs(flat_volume, corruption, message):
+    vol = flat_volume
+    vol.free.take(0, 0, 30)
+    vol.set_owner(0, 20, "x", 0)
+    vol.set_owner(20, 10, "y", 0)
+    vol.audit(deep=True)
+    # each corruption keeps the owned count at 30, so only the deep sweep sees it
+    if corruption == "free":
+        del vol.owners[0]
+        vol.owners[1] = (19, "x", 1)
+        vol.owners[20] = (11, "y", 0)     # reaches into free cluster 30
+    elif corruption == "deferred":
+        vol.clear_markers([Extent(20, 10)])
+        vol.release([Extent(20, 10)], "deferred")
+        vol.owners[0] = (19, "x", 0)
+        vol.owners[25] = (1, "ghost", 0)  # inside the deferred extent
+    elif corruption == "overlap":
+        vol.owners[0] = (21, "x", 0)      # overlaps y's run by one cluster
+        vol.owners[20] = (9, "y", 0)
+    else:
+        vol.owners[20] = (9, "y", 0)
+        vol.owners[100] = (1, "ghost", 0)  # past the last cluster
+    vol.audit()
+    with pytest.raises(InvariantViolationError, match=message):
+        vol.audit(deep=True)

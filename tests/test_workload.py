@@ -1,6 +1,6 @@
 import pytest
 
-from fraglab.alloc import FirstFitPolicy
+from fraglab.alloc import FirstFitPolicy, LogAppendPolicy, POLICY_KINDS, make_policy
 from fraglab.errors import InfeasibleSpecError, UndefinedAgeError, UsageError
 from fraglab.metrics import fragments_of
 from fraglab.rng import Xorshift64Star
@@ -199,3 +199,43 @@ class TestSpecValidation:
         bad_ages = WorkloadSpec(1, SizeDist("constant", 100), 2.0, measurement_ages=[3.0])
         with pytest.raises(UsageError):
             bad_ages.validate()
+
+
+@pytest.mark.parametrize("free_mode", ["deferred", "immediate"])
+def test_log_append_ages_through_its_cleaner(free_mode):
+    # the cleaner runs inside a safe write; it must not move the object
+    # underneath the replacement that triggered it
+    store = make_store(65536, policy=LogAppendPolicy(), free_mode=free_mode)
+    n = int(0.8 * 65536 * 4096 // (256 * KB))
+    sp = spec(n=n, mean=256 * KB, hw=128 * KB, target=2.0, ages=(0.0, 1.0, 2.0), kind="uniform")
+    bulk_load(store, sp)
+    reports = run_to_age(store, sp)
+    assert len(reports) == 3 and reports[-1].storage_age >= 2.0
+    assert store.config.policy.clusters_moved > 0
+    store.verify_layout()
+    store.volume.audit(deep=True)
+
+
+# a configuration each policy can hold: buddy rounds requests up to a power
+# of two and never splits, so it gets a lower fill; ntfs_like needs deferred frees
+POLICY_AGING = {
+    "first_fit": (0.8, "deferred"),
+    "best_fit": (0.8, "immediate"),
+    "worst_fit": (0.8, "deferred"),
+    "buddy": (0.4, "immediate"),
+    "ntfs_like": (0.8, "deferred"),
+    "log_append": (0.8, "immediate"),
+}
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_every_policy_ages_end_to_end(kind):
+    occupancy, free_mode = POLICY_AGING[kind]
+    store = make_store(4096, policy=make_policy(kind, fragmenting=True), free_mode=free_mode)
+    n = int(occupancy * 4096 * 4096 // (64 * KB))
+    sp = spec(n=n, mean=64 * KB, hw=32 * KB, target=2.0, ages=(0.0, 2.0), kind="uniform")
+    bulk_load(store, sp)
+    reports = run_to_age(store, sp)
+    assert reports[-1].storage_age >= 2.0
+    store.verify_layout()
+    store.volume.audit(deep=True)
