@@ -33,7 +33,7 @@ from .harness import ExperimentConfig, ExperimentGrid, run, run_experiment, run_
 from .metrics import FragReport, build_report, fragments_of
 from .rng import Xorshift64Star, derive_seed
 from .store import AgeClock, ObjectRecord, ObjectStore, StoreConfig
-from .volume import Band, CostModel, Extent, Volume, create_volume, default_bands
-from .workload import SizeDist, WorkloadSpec, bulk_load, run_to_age, sample_size, storage_age
+from .volume import Band, Extent, Volume, create_volume, default_bands
+from .workload import SizeDist, WorkloadSpec, bulk_load, run_to_age, sample_size
 
 __version__ = "0.1.0"

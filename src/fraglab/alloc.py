@@ -23,13 +23,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, InvariantViolationError, NoSpaceError, UsageError
+from .schema import FIELDS, default
 from .volume import Extent, Volume
 
 if TYPE_CHECKING:
     from .store import ObjectStore
-
-POLICY_KINDS = ("first_fit", "best_fit", "worst_fit", "buddy", "ntfs_like", "log_append")
-
 
 class AllocPolicy:
     """Base policy: holds the fragmenting flag and the store-facing hooks."""
@@ -48,6 +46,9 @@ class AllocPolicy:
 
     def note_checkpoint(self) -> None:
         """Called by the store after deferred frees commit."""
+
+    def check_volume(self, volume: Volume) -> None:
+        """Called when a store is built; raises if the policy cannot run on the volume."""
 
     def _check_request(self, clusters: int) -> None:
         if clusters < 1:
@@ -175,25 +176,20 @@ class BuddyPolicy(AllocPolicy):
 
     kind = "buddy"
 
-    def __init__(self, min_order: int = 0):
+    def __init__(self, min_order: int = default("store.policy.params.min_order")):
         super().__init__(fragmenting=False)
         if min_order < 0:
             raise ConfigurationError("buddy min_order must be >= 0")
         self.min_order = min_order
         self.internal_frag_clusters = 0
-        self._validated_for: int | None = None
 
-    def _validate_volume(self, volume: Volume) -> None:
-        if self._validated_for == volume.total_clusters:
-            return
+    def check_volume(self, volume: Volume) -> None:
         n = volume.total_clusters
         if n & (n - 1):
             raise ConfigurationError("buddy policy needs a power-of-two volume size")
-        self._validated_for = n
 
     def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
         self._check_request(clusters)
-        self._validate_volume(volume)
         order = max((clusters - 1).bit_length(), self.min_order)
         block = 1 << order
         if block > volume.total_clusters:
@@ -236,7 +232,7 @@ class NtfsLikePolicy(AllocPolicy):
     kind = "ntfs_like"
     requires_deferred_free = True
 
-    def __init__(self, cache_depth: int = 32):
+    def __init__(self, cache_depth: int = default("store.policy.params.cache_depth")):
         super().__init__(fragmenting=True)
         if cache_depth < 1:
             raise ConfigurationError("ntfs_like cache depth must be >= 1")
@@ -407,26 +403,24 @@ class LogAppendPolicy(AllocPolicy):
         return moved
 
 
+_POLICIES = {cls.kind: cls for cls in (FirstFitPolicy, BestFitPolicy, WorstFitPolicy,
+                                       BuddyPolicy, NtfsLikePolicy, LogAppendPolicy)}
+POLICY_KINDS = tuple(_POLICIES)
+
+
 def make_policy(kind: str, fragmenting: bool = False, params: dict | None = None) -> AllocPolicy:
-    """Build a policy from its config name and per-kind parameters."""
-    params = dict(params or {})
-    if kind == "first_fit":
-        policy = FirstFitPolicy(fragmenting=fragmenting)
-    elif kind == "best_fit":
-        policy = BestFitPolicy(fragmenting=fragmenting)
-    elif kind == "worst_fit":
-        policy = WorstFitPolicy(fragmenting=fragmenting)
-    elif kind == "buddy":
-        policy = BuddyPolicy(min_order=int(params.pop("min_order", 0)))
-    elif kind == "ntfs_like":
-        policy = NtfsLikePolicy(cache_depth=int(params.pop("cache_depth", 32)))
-    elif kind == "log_append":
-        policy = LogAppendPolicy()
-    else:
+    """Build a policy from its config name and the params the schema gives its kind."""
+    cls = _POLICIES.get(kind)
+    if cls is None:
         raise ConfigurationError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
-    if params:
-        raise ConfigurationError(f"unused {kind} params: {sorted(params)}")
-    return policy
+    params = params or {}
+    unused = params.keys() - {f.path.rsplit(".", 1)[1] for f in FIELDS if f.kind == kind}
+    if unused:
+        raise ConfigurationError(f"unused {kind} params: {sorted(unused)}")
+    # the fits take the flag; every other kind fixes it
+    if cls.__init__ is AllocPolicy.__init__:
+        return cls(fragmenting=fragmenting)
+    return cls(**params)
 
 
 def clean_log(store: "ObjectStore", target_clusters: int | None = None) -> int:

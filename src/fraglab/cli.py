@@ -6,17 +6,9 @@ import argparse
 import sys
 
 from . import harness
-from .errors import (
-    ConfigurationError,
-    FraglabError,
-    InfeasibleSpecError,
-    InvariantViolationError,
-    NoSpaceError,
-    EXIT_CONFIG,
-    EXIT_INVARIANT,
-    EXIT_NO_SPACE,
-    EXIT_OK,
-)
+from .errors import EXIT_INVARIANT, EXIT_NO_SPACE, EXIT_OK, FraglabError, exit_code
+
+_ERROR_PREFIX = {EXIT_NO_SPACE: "out of space: ", EXIT_INVARIANT: "invariant violation: "}
 
 
 def _cmd_run(args) -> int:
@@ -49,12 +41,13 @@ def _cmd_grid(args) -> int:
 def _cmd_validate(args) -> int:
     config = harness.load_config(args.config)
     config.validate()
-    capacity = config.total_clusters * config.cluster_size
-    demand = config.workload.n_objects * config.workload.size_dist.mean
+    workload = config.workload
+    capacity = config.volume["total_clusters"] * config.volume["cluster_size"]
+    demand = workload.n_objects * workload.size_dist.mean
     print(
-        f"ok: {config.workload.n_objects} objects of mean"
-        f" {config.workload.size_dist.mean} bytes on a {capacity}-byte volume"
-        f" ({demand / capacity:.0%} occupancy), policy {config.policy_kind}"
+        f"ok: {workload.n_objects} objects of mean"
+        f" {workload.size_dist.mean} bytes on a {capacity}-byte volume"
+        f" ({demand / capacity:.0%} occupancy), policy {config.store['policy']['kind']}"
     )
     return EXIT_OK
 
@@ -74,39 +67,26 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one experiment config (path or bundled name)")
-    p.add_argument("config")
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("grid", help="run a policy/occupancy/... grid of experiments")
-    p.add_argument("grid")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="worker processes (output is identical for any N)")
-    p.set_defaults(fn=_cmd_grid)
-
-    p = sub.add_parser("validate", help="check a config without simulating")
-    p.add_argument("config")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("scan", help="run the owner-run scanner oracle on a snapshot")
-    p.add_argument("snapshot")
-    p.set_defaults(fn=_cmd_scan)
+    for name, arg, fn, text in (
+        ("run", "config", _cmd_run, "run one experiment config (path or bundled name)"),
+        ("grid", "grid", _cmd_grid, "run a policy/occupancy/... grid of experiments"),
+        ("validate", "config", _cmd_validate, "check a config and build its store; no simulation"),
+        ("scan", "snapshot", _cmd_scan, "run the owner-run scanner oracle on a snapshot"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument(arg)
+        p.set_defaults(fn=fn)
+        if name == "grid":
+            p.add_argument("--parallel", type=int, default=1, metavar="N",
+                           help="worker processes (output is identical for any N)")
 
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InfeasibleSpecError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoSpaceError as exc:
-        print(f"error: out of space: {exc}", file=sys.stderr)
-        return EXIT_NO_SPACE
-    except InvariantViolationError as exc:
-        print(f"error: invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except FraglabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = exit_code(exc)
+        print(f"error: {_ERROR_PREFIX.get(code, '')}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

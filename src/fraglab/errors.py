@@ -60,6 +60,15 @@ class SimulatedAbortError(FraglabError):
 
 # CLI exit codes. 1 is reserved for unexpected failures.
 EXIT_OK = 0
-EXIT_CONFIG = 2       # invalid or infeasible config
+EXIT_CONFIG = 2       # invalid or infeasible config, a usage error in one, or a bad snapshot
 EXIT_NO_SPACE = 3     # the volume ran out of space mid-experiment
 EXIT_INVARIANT = 4    # internal inconsistency or scan corruption
+
+
+# the exit code that reports each error class, for the CLI and for a grid cell
+_EXIT_CODES = ((ConfigurationError, EXIT_CONFIG), (UsageError, EXIT_CONFIG),
+               (NoSpaceError, EXIT_NO_SPACE), (InvariantViolationError, EXIT_INVARIANT))
+
+
+def exit_code(exc: FraglabError) -> int:
+    return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 1)

@@ -13,24 +13,15 @@ import copy
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .alloc import make_policy
-from .errors import (
-    ConfigurationError,
-    InfeasibleSpecError,
-    InvariantViolationError,
-    NoSpaceError,
-    UsageError,
-    EXIT_CONFIG,
-    EXIT_INVARIANT,
-    EXIT_NO_SPACE,
-)
+from . import schema
+from .errors import ConfigurationError, FraglabError, InfeasibleSpecError, NoSpaceError, exit_code
 from .metrics import FragReport
-from .store import ObjectStore, StoreConfig
-from .volume import Band, CostModel, create_volume, DEFAULT_CLUSTER_SIZE, DEFAULT_SEEK_TIME
+from .store import ObjectStore, store_config
+from .volume import create_volume
 from .workload import SizeDist, WorkloadSpec, bulk_load, run_to_age
 
 CSV_HEADER = (
@@ -38,111 +29,61 @@ CSV_HEADER = (
     "free_runs_count,free_bytes,est_read_mbps,est_write_mbps"
 )
 
-# grid axes expand in this order; cell keys list them the same way
-_AXIS_ORDER = ("policy", "total_clusters", "occupancy", "write_request_size", "size_dist")
-
 
 @dataclass
 class ExperimentConfig:
     """Everything one experiment needs, validated before any simulation."""
 
-    total_clusters: int
-    cluster_size: int = DEFAULT_CLUSTER_SIZE
-    bands: list[Band] | None = None
-    seek_time: float = DEFAULT_SEEK_TIME
-    policy_kind: str = "first_fit"
-    policy_fragmenting: bool = True
-    policy_params: dict = field(default_factory=dict)
-    write_request_size: int = 65536
-    size_hint: bool = False
-    checkpoint_every: int = 1
-    free_mode: str = "deferred"
-    workload: WorkloadSpec = None
+    volume: dict   # canonical config sections (see schema.FIELDS)
+    store: dict
+    workload: WorkloadSpec
     csv_path: str | None = None
     json_path: str | None = None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            vol = doc["volume"]
-            wl = doc["workload"]
-        except KeyError as exc:
-            raise ConfigurationError(f"config is missing section {exc}") from exc
-        st = doc.get("store", {})
-        bands = None
-        if "bands" in vol:
-            bands = [Band(int(s), int(e), float(r)) for s, e, r in vol["bands"]]
-        policy = st.get("policy", {})
-        if isinstance(policy, str):
-            policy = {"kind": policy}
-        total_clusters = int(vol["total_clusters"])
-        cluster_size = int(vol.get("cluster_size", DEFAULT_CLUSTER_SIZE))
-        dist_doc = wl.get("size_dist", {})
-        size_dist = SizeDist(
-            kind=dist_doc.get("kind", "constant"),
-            mean=int(dist_doc.get("mean", 1 << 20)),
-            half_width=int(dist_doc.get("half_width", 0)),
-        )
-        if "n_objects" in wl and "occupancy" in wl:
-            raise ConfigurationError("give n_objects or occupancy, not both")
-        if "occupancy" in wl:
-            occupancy = float(wl["occupancy"])
-            capacity = total_clusters * cluster_size
-            n_objects = int(occupancy * capacity // size_dist.mean)
-        elif "n_objects" in wl:
-            n_objects = int(wl["n_objects"])
-        else:
+        canon = schema.parse(doc)
+        volume, wl = canon["volume"], canon["workload"]
+        size_dist = SizeDist(**wl.pop("size_dist"))
+        occupancy = wl.pop("occupancy")
+        if occupancy is not None:
+            if wl["n_objects"] is not None:
+                raise ConfigurationError("give n_objects or occupancy, not both")
+            size_dist.validate()
+            capacity = volume["total_clusters"] * volume["cluster_size"]
+            wl["n_objects"] = int(occupancy * capacity // size_dist.mean)
+        elif wl["n_objects"] is None:
             raise ConfigurationError("workload needs n_objects or occupancy")
-        workload = WorkloadSpec(
-            n_objects=n_objects,
-            size_dist=size_dist,
-            target_age=float(wl.get("target_age", 0.0)),
-            seed=int(wl.get("seed", 0)),
-            read_fraction=float(wl.get("read_fraction", 0.0)),
-            measurement_ages=[float(a) for a in wl.get("measurement_ages", [])],
-        )
-        outputs = doc.get("outputs", {})
-        return cls(
-            total_clusters=total_clusters,
-            cluster_size=cluster_size,
-            bands=bands,
-            seek_time=float(vol.get("seek_time", DEFAULT_SEEK_TIME)),
-            policy_kind=policy.get("kind", "first_fit"),
-            policy_fragmenting=bool(policy.get("fragmenting", True)),
-            policy_params=dict(policy.get("params", {})),
-            write_request_size=int(st.get("write_request_size", 65536)),
-            size_hint=bool(st.get("size_hint", False)),
-            checkpoint_every=int(st.get("checkpoint_every", 1)),
-            free_mode=st.get("free_mode", "deferred"),
-            workload=workload,
-            csv_path=outputs.get("csv"),
-            json_path=outputs.get("json"),
-        )
+        outputs = canon["outputs"]
+        return cls(volume, canon["store"], WorkloadSpec(size_dist=size_dist, **wl),
+                   outputs["csv"], outputs["json"])
+
+    def to_dict(self) -> dict:
+        """The canonical config: every default filled in, occupancy resolved to n_objects."""
+        return copy.deepcopy({
+            "volume": self.volume,
+            "store": self.store,
+            "workload": schema.dump(self.workload, "workload"),
+            "outputs": {"csv": self.csv_path, "json": self.json_path},
+        })
 
     def validate(self) -> None:
+        """Check feasibility, then build a store the way a run does (O(1)) and drop it."""
         self.workload.validate()
-        capacity = self.total_clusters * self.cluster_size
+        capacity = self.volume["total_clusters"] * self.volume["cluster_size"]
         demand = self.workload.n_objects * self.workload.size_dist.mean
         if demand >= capacity:
             raise InfeasibleSpecError(
                 f"workload occupancy {demand / capacity:.2f} must be < 1"
                 f" ({demand} bytes of objects on a {capacity}-byte volume)",
-                required_clusters=-(-demand // self.cluster_size),
-                available_clusters=self.total_clusters,
+                required_clusters=-(-demand // self.volume["cluster_size"]),
+                available_clusters=self.volume["total_clusters"],
             )
+        self.build()
 
     def build(self) -> ObjectStore:
         """Fresh volume + store for one run."""
-        volume = create_volume(self.total_clusters, self.cluster_size, self.bands)
-        policy = make_policy(self.policy_kind, self.policy_fragmenting, self.policy_params)
-        config = StoreConfig(
-            policy=policy,
-            write_request_size=self.write_request_size,
-            size_hint=self.size_hint,
-            checkpoint_every=self.checkpoint_every,
-            free_mode=self.free_mode,
-        )
-        return ObjectStore(volume, config, CostModel(seek_time=self.seek_time))
+        return ObjectStore(create_volume(**self.volume), store_config(self.store))
 
 
 def run_experiment(config: ExperimentConfig, snapshot_on_abort: str | None = None) -> list[FragReport]:
@@ -163,22 +104,10 @@ def run_experiment(config: ExperimentConfig, snapshot_on_abort: str | None = Non
 
 
 def report_csv_row(report: FragReport, cell_key: str = "-") -> str:
-    return ",".join(
-        [
-            cell_key,
-            report.policy,
-            str(report.seed),
-            repr(report.storage_age),
-            repr(report.frag_mean),
-            str(report.frag_p50),
-            str(report.frag_p99),
-            str(report.frag_max),
-            str(report.free_runs_count),
-            str(report.free_bytes),
-            repr(report.est_read_throughput / 1e6),
-            repr(report.est_write_throughput / 1e6),
-        ]
-    )
+    # the columns between cell_key and the modeled rates are the report fields of those names
+    fields = [getattr(report, name) for name in CSV_HEADER.split(",")[1:-2]]
+    rates = [report.est_read_throughput / 1e6, report.est_write_throughput / 1e6]
+    return ",".join(map(str, [cell_key, *fields, *rates]))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -188,11 +117,13 @@ def _write_text(path: str, text: str) -> None:
     out.write_text(text)
 
 
-def write_series(reports: list[FragReport], csv_path: str | None, json_path: str | None,
-                 cell_key: str = "-") -> None:
+def _write_csv(path: str, rows: list[str]) -> None:
+    _write_text(path, "\n".join([CSV_HEADER, *rows]) + "\n")
+
+
+def write_series(reports: list[FragReport], csv_path: str | None, json_path: str | None) -> None:
     if csv_path:
-        lines = [CSV_HEADER] + [report_csv_row(r, cell_key) for r in reports]
-        _write_text(csv_path, "\n".join(lines) + "\n")
+        _write_csv(csv_path, [report_csv_row(r) for r in reports])
     if json_path:
         doc = [r.to_dict() for r in reports]
         _write_text(json_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -200,11 +131,8 @@ def write_series(reports: list[FragReport], csv_path: str | None, json_path: str
 
 def run(config: ExperimentConfig) -> list[FragReport]:
     """CLI-facing run: writes outputs, snapshots the state on a no-space abort."""
-    snapshot_path = None
-    for out in (config.json_path, config.csv_path):
-        if out:
-            snapshot_path = str(Path(out).with_suffix(".snapshot.json"))
-            break
+    out = config.json_path or config.csv_path
+    snapshot_path = str(Path(out).with_suffix(".snapshot.json")) if out else None
     reports = run_experiment(config, snapshot_on_abort=snapshot_path)
     write_series(reports, config.csv_path, config.json_path)
     return reports
@@ -216,82 +144,73 @@ def run(config: ExperimentConfig) -> list[FragReport]:
 @dataclass
 class ExperimentGrid:
     base: dict
-    axes: dict
+    axes: dict     # axis name -> canonical values, in schema.AXES order
     seeds: list[int]
     csv_path: str | None = None
     json_path: str | None = None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentGrid":
-        if "base" not in doc:
-            raise ConfigurationError("grid needs a base config")
-        axes = doc.get("axes", {})
-        unknown = set(axes) - set(_AXIS_ORDER)
-        if unknown:
-            raise ConfigurationError(f"unknown grid axes: {sorted(unknown)}")
-        outputs = doc.get("outputs", {})
-        return cls(
-            base=doc["base"],
-            axes=axes,
-            seeds=[int(s) for s in doc.get("seeds", [0])],
-            csv_path=outputs.get("csv"),
-            json_path=outputs.get("json"),
-        )
+        """Parse a grid; each cell must get a key of its own."""
+        canon = schema.parse(doc, tree=schema.GRID)
+        axes = {
+            name: [schema.parse(value, schema.AXES[name][1]) for value in values]
+            for name, values in canon["axes"].items()
+            if values is not None
+        }
+        outputs = canon["outputs"]
+        grid = cls(canon["base"], axes, canon["seeds"], outputs["csv"], outputs["json"])
+        keys = set()
+        for key, _doc in grid.cells():
+            if key in keys:
+                raise ConfigurationError(f"grid lists cell {key} twice")
+            if "," in key:
+                raise ConfigurationError(f"grid cell key {key!r} holds a comma")
+            keys.add(key)
+        return grid
 
     def cells(self) -> list[tuple[str, dict]]:
         """Cross-product expansion into (cell_key, config dict) pairs."""
-        present = [name for name in _AXIS_ORDER if name in self.axes]
-        value_lists = [self.axes[name] for name in present]
         out = []
-        for combo in itertools.product(*value_lists) if present else [()]:
+        for combo in itertools.product(*self.axes.values()):
             for seed in self.seeds:
                 doc = copy.deepcopy(self.base)
                 parts = []
-                for name, value in zip(present, combo):
-                    _apply_override(doc, name, value)
-                    parts.append(f"{_axis_label(name)}={_value_label(name, value)}")
-                doc.setdefault("workload", {})["seed"] = seed
+                for name, value in zip(self.axes, combo):
+                    prefix, path = schema.AXES[name]
+                    _override(doc, path, value)
+                    parts.append(f"{prefix}={_label(path, value)}")
+                _override(doc, "workload.seed", seed)
                 doc.pop("outputs", None)
                 parts.append(f"seed={seed}")
                 out.append(("|".join(parts), doc))
         return out
 
 
-def _axis_label(name: str) -> str:
-    return {
-        "policy": "pol",
-        "total_clusters": "vol",
-        "occupancy": "occ",
-        "write_request_size": "wrs",
-        "size_dist": "dist",
-    }[name]
-
-
-def _value_label(name: str, value) -> str:
-    if name == "policy":
-        return value["kind"] if isinstance(value, dict) else str(value)
-    if name == "size_dist":
-        kind = value.get("kind", "constant")
-        label = f"{kind}-{value['mean']}"
-        if value.get("half_width"):
-            label += f"-{value['half_width']}"
-        return label
+def _label(path: str, value) -> str:
+    """The cell-key label of one canonical axis value."""
+    if path == "store.policy":
+        # the kind, then each field that differs from that kind's defaults
+        base = schema.parse(value["kind"], path)
+        fields = {"fragmenting": value["fragmenting"], **value["params"]}
+        defaults = {"fragmenting": base["fragmenting"], **base["params"]}
+        diffs = [f"{k}={json.dumps(v)}" for k, v in fields.items() if v != defaults[k]]
+        return "+".join([value["kind"], *diffs])
+    if path == "workload.size_dist":
+        tail = f"-{value['half_width']}" if value["half_width"] else ""
+        return f"{value['kind']}-{value['mean']}{tail}"
     return str(value)
 
 
-def _apply_override(doc: dict, name: str, value) -> None:
-    if name == "policy":
-        doc.setdefault("store", {})["policy"] = value
-    elif name == "total_clusters":
-        doc.setdefault("volume", {})["total_clusters"] = int(value)
-    elif name == "occupancy":
-        wl = doc.setdefault("workload", {})
-        wl.pop("n_objects", None)
-        wl["occupancy"] = float(value)
-    elif name == "write_request_size":
-        doc.setdefault("store", {})["write_request_size"] = int(value)
-    elif name == "size_dist":
-        doc.setdefault("workload", {})["size_dist"] = value
+def _override(doc: dict, path: str, value) -> None:
+    *sections, leaf = path.split(".")
+    for name in sections:
+        doc = doc.setdefault(name, {})
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"grid base: {name} must be an object")
+    doc[leaf] = value
+    if leaf == "occupancy":
+        doc.pop("n_objects", None)   # the two are alternatives
 
 
 def _run_cell(payload: tuple[str, dict]) -> dict:
@@ -301,12 +220,8 @@ def _run_cell(payload: tuple[str, dict]) -> dict:
         config = ExperimentConfig.from_dict(doc)
         reports = run_experiment(config)
         return {"cell_key": cell_key, "rows": [report_csv_row(r, cell_key) for r in reports]}
-    except (ConfigurationError, UsageError) as exc:
-        return {"cell_key": cell_key, "error": str(exc), "exit_code": EXIT_CONFIG}
-    except NoSpaceError as exc:
-        return {"cell_key": cell_key, "error": str(exc), "exit_code": EXIT_NO_SPACE}
-    except InvariantViolationError as exc:
-        return {"cell_key": cell_key, "error": str(exc), "exit_code": EXIT_INVARIANT}
+    except FraglabError as exc:
+        return {"cell_key": cell_key, "error": str(exc), "exit_code": exit_code(exc)}
 
 
 def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> dict:
@@ -330,7 +245,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> dict:
         else:
             failures.append(res)
     if grid.csv_path:
-        _write_text(grid.csv_path, "\n".join([CSV_HEADER] + rows) + "\n")
+        _write_csv(grid.csv_path, rows)
     summary = {
         "cells": len(cells),
         "failed": [
@@ -351,7 +266,18 @@ def save_snapshot(store: ObjectStore, path: str) -> None:
 
 
 def load_snapshot(path: str) -> ObjectStore:
-    return ObjectStore.from_state(json.loads(Path(path).read_text()))
+    state = _read_json(path)
+    try:
+        return ObjectStore.from_state(state)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: malformed snapshot: {exc!r}") from exc
+
+
+def _read_json(path) -> object:
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
 
 
 def bundled_config_names() -> list[str]:
@@ -373,10 +299,8 @@ def resolve_config_path(name_or_path: str) -> Path:
 
 
 def load_config(name_or_path: str) -> ExperimentConfig:
-    doc = json.loads(resolve_config_path(name_or_path).read_text())
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(_read_json(resolve_config_path(name_or_path)))
 
 
 def load_grid(name_or_path: str) -> ExperimentGrid:
-    doc = json.loads(resolve_config_path(name_or_path).read_text())
-    return ExperimentGrid.from_dict(doc)
+    return ExperimentGrid.from_dict(_read_json(resolve_config_path(name_or_path)))

@@ -9,7 +9,7 @@ in the harness output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -59,45 +59,15 @@ class FragReport:
     reads: dict | None = None          # observed read stats, only when reads ran
 
     def to_dict(self) -> dict:
-        d = {
-            "storage_age": self.storage_age,
-            "n_objects": self.n_objects,
-            "frag_mean": self.frag_mean,
-            "frag_p50": self.frag_p50,
-            "frag_p99": self.frag_p99,
-            "frag_max": self.frag_max,
-            "free_runs": {str(k): v for k, v in sorted(self.free_runs.items())},
-            "free_runs_count": self.free_runs_count,
-            "free_bytes": self.free_bytes,
-            "est_read_throughput": self.est_read_throughput,
-            "est_write_throughput": self.est_write_throughput,
-            "policy": self.policy,
-            "seed": self.seed,
-            "config_echo": self.config_echo,
-        }
-        if self.reads is not None:
-            d["reads"] = self.reads
+        d = asdict(self)
+        d["free_runs"] = {str(k): v for k, v in sorted(self.free_runs.items())}
+        if self.reads is None:
+            del d["reads"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FragReport":
-        return cls(
-            storage_age=d["storage_age"],
-            n_objects=d["n_objects"],
-            frag_mean=d["frag_mean"],
-            frag_p50=d["frag_p50"],
-            frag_p99=d["frag_p99"],
-            frag_max=d["frag_max"],
-            free_runs={int(k): v for k, v in d["free_runs"].items()},
-            free_runs_count=d["free_runs_count"],
-            free_bytes=d["free_bytes"],
-            est_read_throughput=d["est_read_throughput"],
-            est_write_throughput=d["est_write_throughput"],
-            policy=d["policy"],
-            seed=d["seed"],
-            config_echo=d.get("config_echo", {}),
-            reads=d.get("reads"),
-        )
+        return cls(**{**d, "free_runs": {int(k): v for k, v in d["free_runs"].items()}})
 
 
 def build_report(
@@ -122,7 +92,7 @@ def build_report(
     total_read_seconds = 0.0
     for rec in store.records():
         total_bytes += rec.size
-        total_read_seconds += volume.read_cost(rec.extents, store.cost_model)
+        total_read_seconds += volume.read_cost(rec.extents)
     hist = volume.free_extent_histogram()
     clock = store.clock
     return FragReport(

@@ -1,0 +1,185 @@
+"""The config schema: each field of an experiment config, declared once.
+
+FIELDS gives each leaf's dotted path, JSON type and default (REQUIRED: none;
+None: absent unless given).  parse() checks a document's shape, types and
+required and unknown keys, and returns it canonical, defaults filled in;
+range checks belong to the objects built from it.  dump() reads the canonical
+form back off those objects, whose dataclasses take defaults via default().
+A type is int, float, bool, str, dict, list, [t] (an array of t) or
+(t1, t2, ...) (an array of exactly those).
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+from dataclasses import field
+from typing import NamedTuple
+
+from .errors import ConfigurationError
+
+REQUIRED = object()
+
+
+class Field(NamedTuple):
+    path: str
+    type: object
+    default: object = REQUIRED
+    kind: str | None = None   # policy params: the one policy kind that takes them
+
+
+FIELDS = (
+    Field("volume.total_clusters", int),
+    Field("volume.cluster_size", int, 4096),
+    Field("volume.seek_time", float, 0.008),            # seconds per non-adjacent extent
+    Field("volume.bands", [(int, int, float)], None),   # [start, end, bytes/s]; None: default_bands
+    Field("store.policy.kind", str, "first_fit"),
+    Field("store.policy.fragmenting", bool, True),
+    Field("store.policy.params.cache_depth", int, 32, "ntfs_like"),
+    Field("store.policy.params.min_order", int, 0, "buddy"),
+    Field("store.write_request_size", int, 65536),
+    Field("store.size_hint", bool, False),
+    Field("store.checkpoint_every", int, 1),
+    Field("store.free_mode", str, "deferred"),
+    Field("workload.n_objects", int, None),     # exactly one of n_objects and occupancy
+    Field("workload.occupancy", float, None),
+    Field("workload.size_dist.kind", str, "constant"),
+    Field("workload.size_dist.mean", int, 1 << 20),
+    Field("workload.size_dist.half_width", int, 0),
+    Field("workload.target_age", float, 0.0),
+    Field("workload.seed", int, 0),
+    Field("workload.read_fraction", float, 0.0),
+    Field("workload.measurement_ages", [float], []),
+    Field("outputs.csv", str, None),
+    Field("outputs.json", str, None),
+)
+
+# grid axes, in cell-key order: the key prefix and the config path each overrides
+AXES = {
+    "policy": ("pol", "store.policy"),
+    "total_clusters": ("vol", "volume.total_clusters"),
+    "occupancy": ("occ", "workload.occupancy"),
+    "write_request_size": ("wrs", "store.write_request_size"),
+    "size_dist": ("dist", "workload.size_dist"),
+}
+
+GRID_FIELDS = (
+    Field("base", dict),
+    *(Field(f"axes.{name}", list, None) for name in AXES),
+    Field("seeds", [int], [0]),
+    *(f for f in FIELDS if f.path.startswith("outputs.")),
+)
+
+# the report's config_echo: these canonical fields, keyed by leaf name ("policy" for the kind)
+ECHO = {"policy": "store.policy.kind", **{path.rsplit(".", 1)[1]: path for path in (
+    "store.policy.fragmenting", "workload.seed", "workload.n_objects", "workload.size_dist",
+    "workload.target_age", "workload.read_fraction", "store.write_request_size", "store.size_hint",
+    "store.checkpoint_every", "store.free_mode", "volume.total_clusters", "volume.cluster_size",
+)}}
+
+
+def _tree(fields) -> dict:
+    root: dict = {}
+    for f in fields:
+        *sections, leaf = f.path.split(".")
+        node = root
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[leaf] = f
+    return root
+
+
+CONFIG = _tree(FIELDS)
+GRID = _tree(GRID_FIELDS)
+DEFAULTS = {f.path: f.default for f in FIELDS}
+
+
+def default(path: str):
+    """The table's default as a dataclass field default (a fresh copy when mutable)."""
+    value = DEFAULTS[path]
+    if isinstance(value, list):
+        return field(default_factory=lambda: list(value))
+    return value
+
+
+def _node(path: str, tree: dict):
+    for name in filter(None, path.split(".")):
+        tree = tree[name]
+    return tree
+
+
+def parse(doc, path: str = "", tree: dict = CONFIG):
+    """Check doc as the node at path (a whole config by default); return it canonical."""
+    node = _node(path, tree)
+    if isinstance(node, Field):
+        return _check(doc, node.type, path)
+    return _section(doc, node, path)
+
+
+def _section(doc, node: dict, where: str, kind: str | None = None) -> dict:
+    if where == "store.policy" and isinstance(doc, str):
+        doc = {"kind": doc}   # a policy may be given by its kind alone
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where or 'the document'} must be an object")
+    # a field tagged with a policy kind exists only under that kind
+    node = {k: v for k, v in node.items() if isinstance(v, dict) or v.kind in (None, kind)}
+    prefix = f"{where}." if where else ""
+    for key in doc:
+        if key not in node and not (key == "comment" and not where):
+            raise ConfigurationError(f"unknown key {prefix}{key}")
+    out = {}
+    for name, spec in node.items():
+        path = prefix + name
+        if isinstance(spec, dict):
+            # a section's kind field, read before its subsections, selects their fields
+            out[name] = _section(doc.get(name, {}), spec, path, out.get("kind", kind))
+        elif name not in doc or (doc[name] is None and spec.default is None):
+            if spec.default is REQUIRED:
+                raise ConfigurationError(f"missing {path}")
+            out[name] = copy.deepcopy(spec.default)
+        else:
+            out[name] = _check(doc[name], spec.type, path)
+    return out
+
+
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", dict: "an object", list: "an array"}
+
+
+def _check(value, spec, where: str):
+    if isinstance(spec, (list, tuple)):
+        row = isinstance(spec, tuple)
+        if not isinstance(value, (list, tuple)) or (row and len(value) != len(spec)):
+            raise ConfigurationError(f"{where} must be an array{f' of {len(spec)}' if row else ''}")
+        specs = spec if row else spec * len(value)
+        items = [_check(v, s, f"{where}[{i}]") for i, (v, s) in enumerate(zip(value, specs))]
+        return tuple(items) if row else items
+    if spec is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if (not isinstance(value, spec) or (isinstance(value, bool) and spec is not bool)
+            or (spec is float and not math.isfinite(value))):
+        raise ConfigurationError(f"{where} must be {_TYPE_NAMES[spec]}, not {value!r}")
+    return value
+
+
+def dump(obj, path: str) -> dict:
+    """The canonical section at path, read off the object built from it.
+
+    A field is the attribute of the same name and a subsection the attribute
+    of its name, except params, which the policy holds itself.  Fields the
+    object does not keep (occupancy, which resolves to n_objects) are left out.
+    """
+    out = {}
+    for name, spec in _node(path, CONFIG).items():
+        if isinstance(spec, dict):
+            out[name] = dump(obj if name == "params" else getattr(obj, name), f"{path}.{name}")
+        elif spec.kind in (None, getattr(obj, "kind", None)) and hasattr(obj, name):
+            out[name] = copy.deepcopy(getattr(obj, name))
+    return out
+
+
+def config_echo(volume, store_config, workload) -> dict:
+    """The ECHO projection of the canonical config read off a run's objects."""
+    doc = {"volume": dump(volume, "volume"), "store": dump(store_config, "store"),
+           "workload": dump(workload, "workload")}
+    return {key: _node(path, doc) for key, path in ECHO.items()}

@@ -26,11 +26,12 @@ from .errors import (
     UndefinedAgeError,
     UsageError,
 )
-from .volume import CostModel, Extent, Volume
+from .schema import default, dump, parse
+from .volume import Extent, Volume
 
 
 # the ObjectStore.to_state() format; from_state refuses every other version
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 def _coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
@@ -87,10 +88,10 @@ class AgeClock:
 @dataclass
 class StoreConfig:
     policy: AllocPolicy
-    write_request_size: int = 65536
-    size_hint: bool = False
-    checkpoint_every: int = 1     # mutating ops between deferred-free commits
-    free_mode: str = "deferred"   # or "immediate"
+    write_request_size: int = default("store.write_request_size")
+    size_hint: bool = default("store.size_hint")
+    checkpoint_every: int = default("store.checkpoint_every")   # mutating ops per checkpoint
+    free_mode: str = default("store.free_mode")                 # "deferred" or "immediate"
 
     def validate(self, volume: Volume) -> None:
         if self.write_request_size < volume.cluster_size:
@@ -101,6 +102,16 @@ class StoreConfig:
             raise UsageError(f"unknown free_mode {self.free_mode!r}")
         if self.policy.requires_deferred_free and self.free_mode != "deferred":
             raise UsageError(f"{self.policy.kind} requires free_mode='deferred'")
+        self.policy.check_volume(volume)
+
+
+def store_config(section: dict) -> StoreConfig:
+    """A StoreConfig, with a fresh policy, from a canonical store section (see schema)."""
+    policy = section["policy"]
+    return StoreConfig(
+        policy=make_policy(policy["kind"], policy["fragmenting"], policy["params"]),
+        **{name: value for name, value in section.items() if name != "policy"},
+    )
 
 
 @dataclass
@@ -124,11 +135,10 @@ SAFE_WRITE_STEPS = ("temp_written", "forced", "replaced", "old_released")
 class ObjectStore:
     """Single-writer object store over one volume."""
 
-    def __init__(self, volume: Volume, config: StoreConfig, cost_model: CostModel | None = None):
+    def __init__(self, volume: Volume, config: StoreConfig):
         config.validate(volume)
         self.volume = volume
         self.config = config
-        self.cost_model = cost_model or CostModel()
         self.clock = AgeClock()
         self._records: dict[Hashable, ObjectRecord] = {}
         self._ids: list[Hashable] = []
@@ -173,11 +183,7 @@ class ObjectStore:
             raise UsageError("object size must be > 0")
         self._prepare(size)
         extents = self._alloc_stream(oid, size)
-        rec = ObjectRecord(id=oid, size=size, extents=extents)
-        self._records[oid] = rec
-        self._pos[oid] = len(self._ids)
-        self._ids.append(oid)
-        self.clock.live_bytes += size
+        rec = self._insert(ObjectRecord(id=oid, size=size, extents=extents))
         self.clock.bytes_turned_over += size
         self._account_write(size, extents)
         self._after_mutation()
@@ -234,6 +240,13 @@ class ObjectStore:
         self._account_write(txn.new_size, txn.new_extents)
         txn.committed = True
 
+    def _insert(self, rec: ObjectRecord) -> ObjectRecord:
+        self._records[rec.id] = rec
+        self._pos[rec.id] = len(self._ids)
+        self._ids.append(rec.id)
+        self.clock.live_bytes += rec.size
+        return rec
+
     def delete(self, oid: Hashable) -> None:
         rec = self._require(oid)
         self.volume.clear_markers(rec.extents)
@@ -265,7 +278,7 @@ class ObjectStore:
 
     def get(self, oid: Hashable) -> tuple[ObjectRecord, float]:
         rec = self._require(oid)
-        return rec, self.volume.read_cost(rec.extents, self.cost_model)
+        return rec, self.volume.read_cost(rec.extents)
 
     def scan_layout(self) -> dict[Hashable, list[Extent]]:
         """Rebuild every object's extent list from the volume's owner runs alone.
@@ -411,7 +424,7 @@ class ObjectStore:
 
     def _account_write(self, size_bytes: int, extents: list[Extent]) -> None:
         self._interval_bytes += size_bytes
-        self._interval_seconds += self.volume.read_cost(extents, self.cost_model)
+        self._interval_seconds += self.volume.read_cost(extents)
 
     def _after_mutation(self) -> None:
         self._ops_since_checkpoint += 1
@@ -425,57 +438,32 @@ class ObjectStore:
     # -- snapshots -------------------------------------------------------------
 
     def to_state(self) -> dict:
+        """Volume state, canonical store section, age clock and records; a reload starts
+        the policy afresh, without its runtime state (a run cache, a log head)."""
         if self._pending is not None:
             raise UsageError("cannot snapshot with a replacement in flight")
         return {
             "version": SNAPSHOT_VERSION,
             "volume": self.volume.to_state(),
-            "config": {
-                "policy": self.config.policy.kind,
-                "fragmenting": self.config.policy.fragmenting,
-                "write_request_size": self.config.write_request_size,
-                "size_hint": self.config.size_hint,
-                "checkpoint_every": self.config.checkpoint_every,
-                "free_mode": self.config.free_mode,
-            },
-            "objects": [
-                {
-                    "id": rec.id,
-                    "size": rec.size,
-                    "generation": rec.generation,
-                    "extents": [[e.offset, e.length] for e in rec.extents],
-                }
-                for rec in self._records.values()
-            ],
+            "config": dump(self.config, "store"),
+            "bytes_turned_over": self.clock.bytes_turned_over,
+            # [id, size, generation, [[offset, length], ...]] per object
+            "objects": [[rec.id, rec.size, rec.generation, [list(e) for e in rec.extents]]
+                        for rec in self._records.values()],
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "ObjectStore":
-        version = state.get("version")
+        version = state.get("version") if isinstance(state, dict) else None
         if version != SNAPSHOT_VERSION:
             raise ConfigurationError(
                 f"snapshot format version {version!r} is not supported"
                 f" (this fraglab reads version {SNAPSHOT_VERSION})"
             )
-        volume = Volume.from_state(state["volume"])
-        cfg = state["config"]
-        config = StoreConfig(
-            policy=make_policy(cfg["policy"], fragmenting=cfg.get("fragmenting", False)),
-            write_request_size=int(cfg["write_request_size"]),
-            size_hint=bool(cfg["size_hint"]),
-            checkpoint_every=int(cfg["checkpoint_every"]),
-            free_mode=cfg["free_mode"],
-        )
-        store = cls(volume, config)
-        for obj in state["objects"]:
-            rec = ObjectRecord(
-                id=obj["id"],
-                size=int(obj["size"]),
-                extents=[Extent(int(o), int(l)) for o, l in obj["extents"]],
-                generation=int(obj["generation"]),
-            )
-            store._records[rec.id] = rec
-            store._pos[rec.id] = len(store._ids)
-            store._ids.append(rec.id)
-            store.clock.live_bytes += rec.size
+        config = store_config(parse(state["config"], "store"))
+        store = cls(Volume.from_state(state["volume"]), config)
+        store.clock.bytes_turned_over = int(state["bytes_turned_over"])
+        for oid, size, generation, extents in state["objects"]:
+            extents = [Extent(int(o), int(l)) for o, l in extents]
+            store._insert(ObjectRecord(oid, int(size), extents, int(generation)))
         return store

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, InvariantViolationError
+from .schema import default, dump, parse
 
-DEFAULT_CLUSTER_SIZE = 4096
-DEFAULT_SEEK_TIME = 0.008
 DEFAULT_OUTER_RATE = 60e6   # bytes/second
 DEFAULT_INNER_RATE = 30e6
 
@@ -37,20 +36,12 @@ class Extent(NamedTuple):
         return self.offset + self.length
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """A region of the disk with one transfer rate.  Outer bands are faster."""
 
     start_cluster: int
     end_cluster: int       # exclusive
     transfer_rate: float   # bytes/second
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Seek cost per non-adjacent extent transition; transfer rates come from bands."""
-
-    seek_time: float = DEFAULT_SEEK_TIME
 
 
 def default_bands(total_clusters: int) -> list[Band]:
@@ -183,6 +174,7 @@ class Volume:
     total_clusters: int
     cluster_size: int
     bands: list[Band]
+    seek_time: float = default("volume.seek_time")   # per non-adjacent extent transition
     free: FreeExtentIndex = field(default_factory=FreeExtentIndex)
     deferred: list[Extent] = field(default_factory=list)
     deferred_total: int = 0
@@ -288,7 +280,7 @@ class Volume:
 
     # -- cost model ---------------------------------------------------------
 
-    def read_cost(self, extents: list[Extent], model: CostModel) -> float:
+    def read_cost(self, extents: list[Extent]) -> float:
         """Seconds to read the extents in logical order.
 
         One seek per non-adjacent extent transition, counting the initial
@@ -305,7 +297,7 @@ class Volume:
                 seeks += 1
             prev_end = ext.end
             transfer += self._transfer_seconds(ext)
-        return model.seek_time * seeks + transfer
+        return self.seek_time * seeks + transfer
 
     def _transfer_seconds(self, ext: Extent) -> float:
         seconds = 0.0
@@ -381,10 +373,9 @@ class Volume:
     # -- snapshots ------------------------------------------------------------
 
     def to_state(self) -> dict:
+        """The geometry, as in a config's volume section, plus the free, deferred and owner runs."""
         return {
-            "total_clusters": self.total_clusters,
-            "cluster_size": self.cluster_size,
-            "bands": [[b.start_cluster, b.end_cluster, b.transfer_rate] for b in self.bands],
+            **dump(self, "volume"),
             "free": [[e.offset, e.length] for e in self.free.runs()],
             "deferred": [[e.offset, e.length] for e in self.deferred],
             "owners": [[off, length, key, seq] for off, (length, key, seq) in sorted(self.owners.items())],
@@ -392,15 +383,12 @@ class Volume:
 
     @classmethod
     def from_state(cls, state: dict) -> "Volume":
-        bands = [Band(int(s), int(e), float(r)) for s, e, r in state["bands"]]
-        vol = create_volume(int(state["total_clusters"]), int(state["cluster_size"]), bands)
+        runs = ("free", "deferred", "owners")
+        vol = create_volume(**parse({k: v for k, v in state.items() if k not in runs}, "volume"))
         vol.free.clear()
         for off, length in state["free"]:
             vol.free.add(int(off), int(length))
-        for off, length in state["deferred"]:
-            ext = Extent(int(off), int(length))
-            vol.deferred.append(ext)
-            vol.deferred_total += ext.length
+        vol.release([Extent(int(o), int(n)) for o, n in state["deferred"]], "deferred")
         for off, length, key, seq in state["owners"]:
             vol.owners[int(off)] = (int(length), key, int(seq))
         return vol
@@ -408,17 +396,19 @@ class Volume:
 
 def create_volume(
     total_clusters: int,
-    cluster_size: int = DEFAULT_CLUSTER_SIZE,
-    bands: list[Band] | None = None,
+    cluster_size: int = default("volume.cluster_size"),
+    bands: Iterable[tuple[int, int, float]] | None = None,
+    seek_time: float = default("volume.seek_time"),
 ) -> Volume:
     """A fresh volume: one free run covering everything, nothing staged."""
     if total_clusters <= 0:
         raise ConfigurationError("total_clusters must be > 0")
     if cluster_size <= 0:
         raise ConfigurationError("cluster_size must be > 0")
-    if bands is None:
-        bands = default_bands(total_clusters)
+    if seek_time < 0:
+        raise ConfigurationError("seek_time must be >= 0")
+    bands = default_bands(total_clusters) if bands is None else [Band(*b) for b in bands]
     _validate_bands(bands, total_clusters)
-    vol = Volume(total_clusters=total_clusters, cluster_size=cluster_size, bands=list(bands))
+    vol = Volume(total_clusters, cluster_size, bands, seek_time)
     vol.free.add(0, total_clusters)
     return vol

@@ -13,12 +13,13 @@ so a (spec, seed) pair replays byte-identically anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfeasibleSpecError, NoSpaceError, UsageError
 from .metrics import FragReport, build_report
 from .rng import Xorshift64Star, derive_seed
-from .store import AgeClock, ObjectStore
+from .schema import config_echo, default
+from .store import ObjectStore
 
 _BULK_STREAM = 0
 _AGING_STREAM = 1
@@ -28,9 +29,9 @@ _AGING_STREAM = 1
 class SizeDist:
     """Object-size distribution: constant, or uniform around the same mean."""
 
-    kind: str = "constant"   # "constant" | "uniform"
-    mean: int = 1 << 20      # bytes
-    half_width: int = 0      # uniform only: draw from [mean-hw, mean+hw]
+    kind: str = default("workload.size_dist.kind")        # "constant" | "uniform"
+    mean: int = default("workload.size_dist.mean")        # bytes
+    half_width: int = default("workload.size_dist.half_width")   # uniform: [mean-hw, mean+hw]
 
     def validate(self) -> None:
         if self.kind not in ("constant", "uniform"):
@@ -53,9 +54,9 @@ class WorkloadSpec:
     n_objects: int
     size_dist: SizeDist
     target_age: float
-    seed: int = 0
-    read_fraction: float = 0.0
-    measurement_ages: list[float] = field(default_factory=list)
+    seed: int = default("workload.seed")
+    read_fraction: float = default("workload.read_fraction")
+    measurement_ages: list[float] = default("workload.measurement_ages")
 
     def validate(self) -> None:
         if self.n_objects < 1:
@@ -70,11 +71,6 @@ class WorkloadSpec:
                 raise UsageError("measurement ages must lie in [0, target_age]")
         if sorted(self.measurement_ages) != list(self.measurement_ages):
             raise UsageError("measurement ages must be sorted ascending")
-
-
-def storage_age(clock: AgeClock) -> float:
-    """Bytes ever written divided by bytes live; raises with no live bytes."""
-    return clock.age
 
 
 def bulk_load(store: ObjectStore, spec: WorkloadSpec) -> None:
@@ -106,25 +102,6 @@ def bulk_load(store: ObjectStore, spec: WorkloadSpec) -> None:
     store.clock.reset_turnover()
 
 
-class _ReadStats:
-    __slots__ = ("count", "bytes", "seconds")
-
-    def __init__(self):
-        self.count = 0
-        self.bytes = 0
-        self.seconds = 0.0
-
-    def add(self, nbytes: int, seconds: float) -> None:
-        self.count += 1
-        self.bytes += nbytes
-        self.seconds += seconds
-
-    def take(self) -> dict:
-        out = {"count": self.count, "bytes": self.bytes, "model_seconds": self.seconds}
-        self.count, self.bytes, self.seconds = 0, 0, 0.0
-        return out
-
-
 def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
     """Age a bulk-loaded store to the target age via uniform-random safe writes.
 
@@ -135,10 +112,10 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
     if store.live_count() == 0:
         raise UsageError("run_to_age requires a bulk-loaded store")
     rng = Xorshift64Star(derive_seed(spec.seed, _AGING_STREAM))
-    echo = _config_echo(store, spec)
+    echo = config_echo(store.volume, store.config, spec)
     pending = list(spec.measurement_ages)
     reports: list[FragReport] = []
-    read_stats = _ReadStats()
+    reads = {"count": 0, "bytes": 0, "model_seconds": 0.0}   # since the last report
 
     def emit_due() -> None:
         while pending and store.clock.age >= pending[0]:
@@ -151,9 +128,10 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
                     interval_model_seconds=interval_seconds,
                     seed=spec.seed,
                     config_echo=echo,
-                    reads=read_stats.take() if spec.read_fraction > 0 else None,
+                    reads=dict(reads) if spec.read_fraction > 0 else None,
                 )
             )
+            reads.update(count=0, bytes=0, model_seconds=0.0)
 
     emit_due()
     while store.clock.age < spec.target_age:
@@ -163,28 +141,9 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
         if spec.read_fraction > 0 and rng.random() < spec.read_fraction:
             reader = store.id_at(rng.randrange(store.live_count()))
             rec, cost = store.get(reader)
-            read_stats.add(rec.size, cost)
+            reads["count"] += 1
+            reads["bytes"] += rec.size
+            reads["model_seconds"] += cost
         emit_due()
     return reports
 
-
-def _config_echo(store: ObjectStore, spec: WorkloadSpec) -> dict:
-    return {
-        "policy": store.config.policy.kind,
-        "fragmenting": store.config.policy.fragmenting,
-        "seed": spec.seed,
-        "n_objects": spec.n_objects,
-        "size_dist": {
-            "kind": spec.size_dist.kind,
-            "mean": spec.size_dist.mean,
-            "half_width": spec.size_dist.half_width,
-        },
-        "target_age": spec.target_age,
-        "read_fraction": spec.read_fraction,
-        "write_request_size": store.config.write_request_size,
-        "size_hint": store.config.size_hint,
-        "checkpoint_every": store.config.checkpoint_every,
-        "free_mode": store.config.free_mode,
-        "total_clusters": store.volume.total_clusters,
-        "cluster_size": store.volume.cluster_size,
-    }

@@ -158,7 +158,8 @@ class TestBuddy:
 
     def test_requires_power_of_two_volume(self):
         with pytest.raises(ConfigurationError):
-            BuddyPolicy().alloc(one_band_volume(100), 3)
+            ObjectStore(one_band_volume(100), StoreConfig(policy=BuddyPolicy()))
+        ObjectStore(one_band_volume(128), StoreConfig(policy=BuddyPolicy()))
 
     def test_no_block_of_order_raises(self):
         vol = one_band_volume(16)

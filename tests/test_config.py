@@ -1,0 +1,256 @@
+"""The config schema: malformed input, validate/run parity, cell keys, snapshots, bundled configs."""
+
+import copy
+import json
+
+import pytest
+
+from fraglab import cli, harness, schema
+from fraglab.errors import ConfigurationError, EXIT_CONFIG
+from fraglab.store import ObjectStore, StoreConfig
+from fraglab.workload import bulk_load, run_to_age
+
+KB = 1024
+
+
+def config_doc(**store):
+    doc = {
+        "volume": {"total_clusters": 2048, "cluster_size": 4096},
+        "store": {"policy": {"kind": "first_fit", "fragmenting": True}, **store},
+        "workload": {
+            "n_objects": 40,
+            "size_dist": {"kind": "constant", "mean": 128 * KB},
+            "target_age": 1.0,
+            "seed": 7,
+            "measurement_ages": [0, 1],
+        },
+    }
+    return doc
+
+
+def grid_doc(**over):
+    return {"base": config_doc(), "axes": {"policy": ["first_fit", "best_fit"]}, "seeds": [1], **over}
+
+
+def snapshot_state():
+    config = harness.ExperimentConfig.from_dict(config_doc())
+    store = config.build()
+    bulk_load(store, config.workload)
+    return store.to_state()
+
+
+def edit(doc, fn):
+    doc = copy.deepcopy(doc)
+    fn(doc)
+    return doc
+
+
+def v2_snapshot():
+    state = snapshot_state()
+    state["version"] = 2
+    for key in ("bands", "seek_time"):
+        del state["volume"][key]
+    del state["bytes_turned_over"]
+    return state
+
+
+# (commands, file text, a substring the one-line message must hold)
+MALFORMED = {
+    "missing_total_clusters": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].pop("total_clusters"))),
+        "missing volume.total_clusters",
+    ),
+    "total_clusters_not_a_number": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(total_clusters="lots"))),
+        "volume.total_clusters must be an integer",
+    ),
+    "truncated_config_json": (("run", "validate", "grid"), json.dumps(config_doc())[:-9], "cannot read"),
+    "truncated_snapshot_json": (("scan",), json.dumps(snapshot_state())[:-9], "cannot read"),
+    "policy_is_a_number": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["store"].update(policy=5))),
+        "store.policy must be an object",
+    ),
+    "grid_seed_not_an_integer": (("grid",), json.dumps(grid_doc(seeds=["x"])), "seeds[0] must be an integer"),
+    "grid_axis_not_a_list": (
+        ("grid",),
+        json.dumps(grid_doc(axes={"policy": "first_fit"})),
+        "axes.policy must be an array",
+    ),
+    "grid_cell_listed_twice": (
+        ("grid",),
+        json.dumps(grid_doc(axes={"policy": ["first_fit", {"kind": "first_fit", "fragmenting": True}]})),
+        "pol=first_fit|seed=1 twice",
+    ),
+    "version_2_snapshot": (("scan",), json.dumps(v2_snapshot()), "version 2"),
+    "snapshot_without_free_runs": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"].pop("free"))),
+        "malformed snapshot",
+    ),
+    "snapshot_config_typo": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["config"].update(free_mod="immediate"))),
+        "unknown key store.free_mod",
+    ),
+    "free_mode_typo": (
+        ("run", "validate"),
+        json.dumps(config_doc(free_mod="immediate")),
+        "unknown key store.free_mod",
+    ),
+    "size_hint_as_string": (
+        ("run", "validate"),
+        json.dumps(config_doc(size_hint="false")),
+        "store.size_hint must be true or false",
+    ),
+    "comment_below_top_level": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(comment="x"))),
+        "unknown key volume.comment",
+    ),
+    "unknown_policy_param": (
+        ("run", "validate"),
+        json.dumps(config_doc(policy={"kind": "first_fit", "params": {"cache_depth": 4}})),
+        "unknown key store.policy.params.cache_depth",
+    ),
+    "free_mode_bogus": (("run", "validate"), json.dumps(config_doc(free_mode="bogus")), "free_mode"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_line(case, tmp_path, capsys):
+    commands, text, message = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for command in commands:
+        capsys.readouterr()
+        assert cli.main([command, str(path)]) == EXIT_CONFIG, command
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, (command, err)
+        assert message in err, (command, err)
+
+
+VALIDATE_LIKE_RUN = {
+    "free_mode_bogus": config_doc(free_mode="bogus"),
+    "ntfs_like_immediate": config_doc(policy={"kind": "ntfs_like"}, free_mode="immediate"),
+    "buddy_on_3000_clusters": edit(
+        config_doc(policy="buddy"), lambda d: d["volume"].update(total_clusters=3000)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_LIKE_RUN))
+def test_validate_rejects_what_run_rejects(case, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(VALIDATE_LIKE_RUN[case]))
+    outcomes = []
+    for command in ("validate", "run"):
+        capsys.readouterr()
+        outcomes.append((cli.main([command, str(path)]), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == EXIT_CONFIG and len(outcomes[0][1].splitlines()) == 1
+
+
+class TestCellKeys:
+    def keys(self, policies):
+        return [key for key, _doc in harness.ExperimentGrid.from_dict(grid_doc(axes={"policy": policies})).cells()]
+
+    def test_policy_params_give_distinct_keys(self):
+        assert self.keys([
+            {"kind": "ntfs_like", "params": {"cache_depth": 4}},
+            {"kind": "ntfs_like", "params": {"cache_depth": 32}},
+        ]) == ["pol=ntfs_like+cache_depth=4|seed=1", "pol=ntfs_like|seed=1"]
+
+    def test_fragmenting_flag_gives_distinct_keys(self):
+        assert self.keys(["first_fit", {"kind": "first_fit", "fragmenting": False}]) == [
+            "pol=first_fit|seed=1", "pol=first_fit+fragmenting=false|seed=1"
+        ]
+
+    def test_equal_values_collide(self):
+        for policies in (["best_fit", "best_fit"], ["buddy", {"kind": "buddy", "params": {"min_order": 0}}]):
+            with pytest.raises(ConfigurationError, match="twice"):
+                self.keys(policies)
+        with pytest.raises(ConfigurationError, match="twice"):
+            harness.ExperimentGrid.from_dict(grid_doc(seeds=[1, 1]))
+
+    def test_distinct_cells_write_distinct_rows(self, tmp_path):
+        doc = grid_doc(axes={"policy": [{"kind": "ntfs_like", "params": {"cache_depth": d}} for d in (2, 32)]},
+                       outputs={"csv": str(tmp_path / "g.csv")})
+        summary = harness.run_grid(harness.ExperimentGrid.from_dict(doc))
+        assert summary["failed"] == []
+        rows = (tmp_path / "g.csv").read_text().splitlines()[1:]
+        assert sorted({r.split(",")[0] for r in rows}) == ["pol=ntfs_like+cache_depth=2|seed=1",
+                                                            "pol=ntfs_like|seed=1"]
+
+    def test_bundled_grid_keys_are_stable(self):
+        keys = {name: [key for key, _doc in harness.load_grid(name).cells()]
+                for name in ("fig5_sizedist", "fig6_freepool")}
+        assert keys == {
+            "fig5_sizedist": ["dist=constant-1048576|seed=1", "dist=uniform-1048576-524288|seed=1"],
+            "fig6_freepool": ["vol=204800|occ=0.5|seed=1", "vol=204800|occ=0.9|seed=1",
+                              "vol=20480|occ=0.5|seed=1", "vol=20480|occ=0.9|seed=1"],
+        }
+
+
+def test_snapshot_keeps_policy_params_seek_time_and_age(tmp_path):
+    doc = config_doc(policy={"kind": "ntfs_like", "params": {"cache_depth": 4}})
+    doc["volume"]["seek_time"] = 0.02
+    doc["workload"]["target_age"] = 2.0
+    doc["workload"]["measurement_ages"] = [2.0]
+    config = harness.ExperimentConfig.from_dict(doc)
+    store = config.build()
+    bulk_load(store, config.workload)
+    run_to_age(store, config.workload)
+    path = tmp_path / "snap.json"
+    harness.save_snapshot(store, str(path))
+    clone = harness.load_snapshot(str(path))
+    assert clone.config.policy.cache_depth == 4
+    assert clone.volume.seek_time == 0.02
+    assert clone.clock.age == store.clock.age >= 2.0
+    assert clone.to_state() == store.to_state()
+    assert ObjectStore.from_state(store.to_state()).to_state() == store.to_state()
+
+
+def bundled_configs():
+    """(label, ExperimentConfig) for every bundled config and every cell of every bundled grid."""
+    out = []
+    for name in harness.bundled_config_names():
+        doc = json.loads(harness.resolve_config_path(name).read_text())
+        if "base" in doc:
+            out += [(f"{name}:{key}", cell) for key, cell in harness.ExperimentGrid.from_dict(doc).cells()]
+        else:
+            out.append((name, doc))
+    return out
+
+
+@pytest.mark.parametrize("label, doc", bundled_configs(), ids=[label for label, _ in bundled_configs()])
+def test_bundled_config_round_trips_and_validates(label, doc):
+    config = harness.ExperimentConfig.from_dict(doc)
+    canon = config.to_dict()
+    assert harness.ExperimentConfig.from_dict(canon).to_dict() == canon
+    assert "occupancy" not in canon["workload"] and canon["workload"]["n_objects"] > 0
+    config.validate()
+
+
+def test_canonical_form_fills_every_default():
+    canon = harness.ExperimentConfig.from_dict(
+        {"volume": {"total_clusters": 1024}, "workload": {"n_objects": 1}}
+    ).to_dict()
+    for field in schema.FIELDS:
+        if field.kind is None and field.path not in ("workload.occupancy", "volume.total_clusters",
+                                                     "workload.n_objects"):
+            value = canon
+            for name in field.path.split("."):
+                value = value[name]
+            assert value == field.default, field.path
+    # a policy's params hold its own kind's fields only
+    assert schema.parse("ntfs_like", "store.policy")["params"] == {"cache_depth": 32}
+    assert schema.parse({"kind": "buddy"}, "store.policy")["params"] == {"min_order": 0}
+
+
+def test_store_defaults_come_from_the_schema():
+    config = StoreConfig(policy=None)
+    for name in ("write_request_size", "size_hint", "checkpoint_every", "free_mode"):
+        assert getattr(config, name) == schema.DEFAULTS[f"store.{name}"]

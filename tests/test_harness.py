@@ -96,7 +96,7 @@ class TestRun:
         config = harness.load_config("fig3_smallobjects")
         assert config.workload.measurement_ages == [0, 2, 4, 6, 8, 10]
         assert config.workload.target_age == 10.0
-        assert config.policy_kind == "ntfs_like"
+        assert config.store["policy"]["kind"] == "ntfs_like"
 
     def test_bundled_fig3_runs_the_advertised_series(self):
         config = harness.load_config("fig3_smallobjects")
@@ -295,7 +295,7 @@ def _bulk_loaded_store():
 
 def test_snapshot_is_versioned_and_holds_owner_runs():
     state = _bulk_loaded_store().to_state()
-    assert state["version"] == 2
+    assert state["version"] == 3
     assert "markers" not in state["volume"]
     owners = state["volume"]["owners"]
     assert all(len(run) == 4 for run in owners)

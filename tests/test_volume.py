@@ -6,7 +6,6 @@ from fraglab.errors import ConfigurationError, InvariantViolationError
 from fraglab.rng import Xorshift64Star
 from fraglab.volume import (
     Band,
-    CostModel,
     Extent,
     create_volume,
     default_bands,
@@ -113,36 +112,34 @@ class TestCheckpoint:
 class TestReadCost:
     def test_single_extent_arithmetic(self):
         # frozen from 0.008 + 1048576/60e6
-        vol = create_volume(1024, 4096, [Band(0, 1024, 60e6)])
-        cost = vol.read_cost([Extent(0, 256)], CostModel(seek_time=0.008))
+        vol = create_volume(1024, 4096, [Band(0, 1024, 60e6)], seek_time=0.008)
+        cost = vol.read_cost([Extent(0, 256)])
         assert cost == pytest.approx(0.025476266666666667, abs=1e-15)
 
     def test_adjacent_extents_cost_one_seek(self, flat_volume):
-        model = CostModel(seek_time=0.008)
-        split = flat_volume.read_cost([Extent(0, 10), Extent(10, 10)], model)
-        whole = flat_volume.read_cost([Extent(0, 20)], model)
+        split = flat_volume.read_cost([Extent(0, 10), Extent(10, 10)])
+        whole = flat_volume.read_cost([Extent(0, 20)])
         assert split == whole
 
     def test_scattered_fragments_cost_per_seek(self, flat_volume):
-        model = CostModel(seek_time=0.008)
+        assert flat_volume.seek_time == 0.008
         frags = [Extent(0, 4), Extent(10, 4), Extent(20, 4), Extent(30, 4)]
-        cost = flat_volume.read_cost(frags, model)
+        cost = flat_volume.read_cost(frags)
         transfer = 16 * 4096 / 60e6
         assert cost == pytest.approx(4 * 0.008 + transfer)
 
     def test_more_fragments_cost_strictly_more(self, flat_volume):
-        model = CostModel(seek_time=0.008)
         layouts = [
             [Extent(0, 12)],
             [Extent(0, 6), Extent(20, 6)],
             [Extent(0, 4), Extent(20, 4), Extent(40, 4)],
         ]
-        costs = [flat_volume.read_cost(lay, model) for lay in layouts]
+        costs = [flat_volume.read_cost(lay) for lay in layouts]
         assert costs[0] < costs[1] < costs[2]
 
     def test_band_spanning_extent_splits_at_boundary(self):
-        vol = create_volume(100, 4096, [Band(0, 50, 60e6), Band(50, 100, 30e6)])
-        cost = vol.read_cost([Extent(40, 20)], CostModel(seek_time=0.0))
+        vol = create_volume(100, 4096, [Band(0, 50, 60e6), Band(50, 100, 30e6)], seek_time=0.0)
+        cost = vol.read_cost([Extent(40, 20)])
         expected = 10 * 4096 / 60e6 + 10 * 4096 / 30e6
         assert cost == pytest.approx(expected)
 

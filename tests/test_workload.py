@@ -12,7 +12,6 @@ from fraglab.workload import (
     bulk_load,
     run_to_age,
     sample_size,
-    storage_age,
 )
 
 KB = 1024
@@ -67,7 +66,7 @@ class TestBulkLoad:
     def test_ten_objects_age_zero_one_fragment_each(self):
         store = make_store()
         bulk_load(store, spec(n=10, mean=1 * MB))
-        assert storage_age(store.clock) == 0.0
+        assert store.clock.age == 0.0
         assert all(fragments_of(rec) == 1 for rec in store.records())
 
     def test_over_capacity_reports_shortfall(self):
@@ -176,14 +175,14 @@ class TestRunToAge:
 
 class TestStorageAge:
     def test_ratio(self):
-        assert storage_age(AgeClock(bytes_turned_over=200 * GB, live_bytes=100 * GB)) == 2.0
+        assert AgeClock(bytes_turned_over=200 * GB, live_bytes=100 * GB).age == 2.0
 
     def test_zero_turnover(self):
-        assert storage_age(AgeClock(bytes_turned_over=0, live_bytes=1 * GB)) == 0.0
+        assert AgeClock(bytes_turned_over=0, live_bytes=1 * GB).age == 0.0
 
     def test_no_live_bytes_is_error(self):
         with pytest.raises(UndefinedAgeError):
-            storage_age(AgeClock(bytes_turned_over=100, live_bytes=0))
+            AgeClock(bytes_turned_over=100, live_bytes=0).age
 
 
 class TestSpecValidation:
