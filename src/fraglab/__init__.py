@@ -12,9 +12,7 @@ from .alloc import (
     FirstFitPolicy,
     LogAppendPolicy,
     NtfsLikePolicy,
-    RobsonTracker,
     WorstFitPolicy,
-    clean_log,
     make_policy,
 )
 from .errors import (

@@ -1,14 +1,17 @@
 """Pluggable allocation policies over a Volume.
 
 Every policy answers one question: given a request for k clusters, which
-extents come out of the free set?  Policies are strategies, not owners; the
-volume still holds all state except the small amount each policy needs to
-model its allocator (buddy order bookkeeping, a run cache, a log head).
+extents come out of the free set?  Policies are strategies, not owners: they
+reach the volume's free set only through the queries of its FreeExtentIndex
+(the fits, which take what they find, the split plans, top(), run lookups and
+take()), and keep only the state their allocator needs (buddy's internal
+fragmentation, a run cache, a log head).
 
 Common contracts:
   * returned extents are removed from the free set before returning, are
     pairwise disjoint, and are in the object's logical order;
-  * a policy with fragmenting=False either returns one extent or raises;
+  * a policy with fragmenting=False either returns one extent or raises
+    (buddy's flag is fixed false, ntfs_like's and log_append's true);
   * ties are broken toward the lowest offset so runs replay identically.
 
 Split order when a request must fragment is part of each policy's contract:
@@ -18,25 +21,22 @@ fallback split largest-run-first.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import ConfigurationError, InvariantViolationError, NoSpaceError, UsageError
-from .schema import FIELDS, default
+from .errors import ConfigurationError, NoSpaceError, UsageError
+from .schema import FIELDS, default, fixed_value
 from .volume import Extent, Volume
 
 if TYPE_CHECKING:
     from .store import ObjectStore
 
+
 class AllocPolicy:
-    """Base policy: holds the fragmenting flag and the store-facing hooks."""
+    """Base policy: the fragmenting flag and the store-facing hooks."""
 
     kind = "?"
     requires_deferred_free = False
-
-    def __init__(self, fragmenting: bool = False):
-        self.fragmenting = fragmenting
+    fragmenting = False
 
     def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
         raise NotImplementedError
@@ -56,128 +56,68 @@ class AllocPolicy:
 
 
 def _take_plan(volume: Volume, plan: list[tuple[int, int]]) -> list[Extent]:
-    """Apply a (offset, length) plan against the free set, prefix-taking each run."""
-    out = []
-    for offset, length in plan:
-        idx = volume.free.index_of_run_containing(offset)
-        if idx is None:
-            raise InvariantViolationError(f"planned run at {offset} vanished")
-        volume.free.take(idx, offset, length)
-        out.append(Extent(offset, length))
-    return out
+    """Take each (offset, length) piece of a plan out of the free set."""
+    return [Extent(volume.free.take(offset, length), length) for offset, length in plan]
 
 
-def _no_space(volume: Volume, clusters: int) -> NoSpaceError:
+def _no_space(volume: Volume, clusters: int, why: str | None = None) -> NoSpaceError:
     return NoSpaceError(
-        f"cannot allocate {clusters} clusters ({volume.free_clusters} free,"
+        why or f"cannot allocate {clusters} clusters ({volume.free_clusters} free,"
         f" {volume.deferred_clusters} awaiting checkpoint)",
         requested=clusters,
         available=volume.free_clusters,
     )
 
 
-def _fragment_plan_by_size(volume: Volume, clusters: int) -> list[tuple[int, int]]:
-    """Split plan taking whole runs largest-first (ties toward low offsets)."""
-    runs = sorted(
-        zip(volume.free.lengths, volume.free.offsets),
-        key=lambda r: (-r[0], r[1]),
-    )
-    plan = []
-    need = clusters
-    for length, offset in runs:
-        take = min(need, length)
-        plan.append((offset, take))
-        need -= take
-        if need == 0:
-            return plan
-    raise _no_space(volume, clusters)
+class FitPolicy(AllocPolicy):
+    """One run from the index's fit query, else (when fragmenting) the pieces of its split plan."""
 
+    fit = plan = ""   # FreeExtentIndex method names
 
-class FirstFitPolicy(AllocPolicy):
-    """Lowest-offset run that fits; address-order splitting when fragmenting."""
-
-    kind = "first_fit"
+    def __init__(self, fragmenting: bool = False):
+        self.fragmenting = fragmenting
 
     def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
         self._check_request(clusters)
-        lengths = volume.free.lengths
-        offsets = volume.free.offsets
-        for i, length in enumerate(lengths):
-            if length >= clusters:
-                offset = offsets[i]
-                volume.free.take(i, offset, clusters)
-                return [Extent(offset, clusters)]
+        offset = getattr(volume.free, self.fit)(clusters)
+        if offset is not None:
+            return [Extent(offset, clusters)]
         if not self.fragmenting or volume.free.total_free < clusters:
             raise _no_space(volume, clusters)
-        plan = []
-        need = clusters
-        for offset, length in zip(offsets, lengths):
-            take = min(need, length)
-            plan.append((offset, take))
-            need -= take
-            if need == 0:
-                break
-        return _take_plan(volume, plan)
+        return _take_plan(volume, getattr(volume.free, self.plan)(clusters))
 
 
-class BestFitPolicy(AllocPolicy):
+class FirstFitPolicy(FitPolicy):
+    """Lowest-offset run that fits; address-order splitting when fragmenting."""
+
+    kind, fit, plan = "first_fit", "first_fit", "address_plan"
+
+
+class BestFitPolicy(FitPolicy):
     """Smallest run that fits; falls back to largest-first splits if allowed."""
 
-    kind = "best_fit"
-
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
-        self._check_request(clusters)
-        best_i = -1
-        best_len = 0
-        for i, length in enumerate(volume.free.lengths):
-            if length >= clusters and (best_i < 0 or length < best_len):
-                best_i, best_len = i, length
-                if length == clusters:
-                    break
-        if best_i >= 0:
-            offset = volume.free.offsets[best_i]
-            volume.free.take(best_i, offset, clusters)
-            return [Extent(offset, clusters)]
-        if not self.fragmenting:
-            raise _no_space(volume, clusters)
-        return _take_plan(volume, _fragment_plan_by_size(volume, clusters))
+    kind, fit, plan = "best_fit", "best_fit", "largest_first_plan"
 
 
-class WorstFitPolicy(AllocPolicy):
+class WorstFitPolicy(FitPolicy):
     """Largest run wins; included for the exact-fit experiment's third arm."""
 
-    kind = "worst_fit"
-
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
-        self._check_request(clusters)
-        worst_i = -1
-        worst_len = 0
-        for i, length in enumerate(volume.free.lengths):
-            if length >= clusters and length > worst_len:
-                worst_i, worst_len = i, length
-        if worst_i >= 0:
-            offset = volume.free.offsets[worst_i]
-            volume.free.take(worst_i, offset, clusters)
-            return [Extent(offset, clusters)]
-        if not self.fragmenting:
-            raise _no_space(volume, clusters)
-        return _take_plan(volume, _fragment_plan_by_size(volume, clusters))
+    kind, fit, plan = "worst_fit", "worst_fit", "largest_first_plan"
 
 
 class BuddyPolicy(AllocPolicy):
     """Power-of-two blocks aligned to their own size.
 
     Blocks live inside the volume's ordinary coalesced free set, so sibling
-    merging falls out of run coalescing; allocation just searches for the
-    lowest self-aligned block of the rounded-up order.  The padding between
-    a request and its block is internal fragmentation, tracked here and
-    carried in the returned extent (callers see the whole block).
+    merging falls out of run coalescing; allocation just asks the index for
+    the lowest self-aligned block of the rounded-up order.  The padding
+    between a request and its block is internal fragmentation, tracked here
+    and carried in the returned extent (callers see the whole block).
     """
 
     kind = "buddy"
 
     def __init__(self, min_order: int = default("store.policy.params.min_order")):
-        super().__init__(fragmenting=False)
         if min_order < 0:
             raise ConfigurationError("buddy min_order must be >= 0")
         self.min_order = min_order
@@ -192,19 +132,11 @@ class BuddyPolicy(AllocPolicy):
         self._check_request(clusters)
         order = max((clusters - 1).bit_length(), self.min_order)
         block = 1 << order
-        if block > volume.total_clusters:
-            raise _no_space(volume, clusters)
-        for i, (offset, length) in enumerate(zip(volume.free.offsets, volume.free.lengths)):
-            aligned = -(-offset // block) * block
-            if aligned + block <= offset + length:
-                volume.free.take(i, aligned, block)
-                self.internal_frag_clusters += block - clusters
-                return [Extent(aligned, block)]
-        raise NoSpaceError(
-            f"no free buddy block of {block} clusters",
-            requested=block,
-            available=volume.free_clusters,
-        )
+        offset = volume.free.aligned_block(block)
+        if offset is None:
+            raise _no_space(volume, block, f"no free buddy block of {block} clusters")
+        self.internal_frag_clusters += block - clusters
+        return [Extent(offset, block)]
 
 
 class NtfsLikePolicy(AllocPolicy):
@@ -222,85 +154,62 @@ class NtfsLikePolicy(AllocPolicy):
     Stage 3: fragment, taking whole runs largest-first from the full free
              set; the cache is rebuilt afterwards.
 
-    Cache entries are validated against the live free set on every use: an
-    entry whose run has shrunk, moved, or vanished is dropped; an entry
-    whose run has grown keeps its cached (smaller) size, since the cache
-    does not see frees.  Frees under this policy must be deferred (reuse
-    waits for the commit); the store enforces that.
+    Cache entries are validated against the live free set once per
+    allocation: an entry whose run has moved or vanished is dropped, one
+    whose run shrank is cut to it, and one whose run has grown keeps its
+    cached (smaller) size, since the cache does not see frees.  Frees under this policy must be
+    deferred (reuse waits for the commit); the store enforces that.
     """
 
     kind = "ntfs_like"
     requires_deferred_free = True
+    fragmenting = True
 
     def __init__(self, cache_depth: int = default("store.policy.params.cache_depth")):
-        super().__init__(fragmenting=True)
         if cache_depth < 1:
             raise ConfigurationError("ntfs_like cache depth must be >= 1")
         self.cache_depth = cache_depth
         self._cache: list[list[int]] = []  # mutable [offset, length] entries
 
     def _refresh_cache(self, volume: Volume) -> None:
-        runs = sorted(
-            zip(volume.free.offsets, volume.free.lengths),
-            key=lambda r: (-r[1], -r[0]),
-        )
-        self._cache = [[off, length] for off, length in runs[: self.cache_depth]]
+        self._cache = [[offset, length] for length, offset in volume.free.top(self.cache_depth)]
 
-    def _validated_entries(self, volume: Volume) -> list[list[int]]:
-        """Live cache entries; prunes any whose run no longer starts there."""
+    def _validate_cache(self, volume: Volume) -> None:
+        """Drop entries whose run no longer starts there; shrink those whose run shrank."""
         live = []
-        for entry in list(self._cache):
-            idx = volume.free.index_of_run_containing(entry[0])
-            if idx is None or volume.free.offsets[idx] != entry[0]:
-                self._cache.remove(entry)
-                continue
-            entry[1] = min(entry[1], volume.free.lengths[idx])
-            live.append(entry)
-        return live
+        for entry in self._cache:
+            length = volume.free.length_at(entry[0])
+            if length:
+                entry[1] = min(entry[1], length)
+                live.append(entry)
+        self._cache = live
 
-    def _take_from_entry(self, volume: Volume, entry: list[int], clusters: int) -> Extent:
-        idx = volume.free.index_of_run_containing(entry[0])
-        volume.free.take(idx, entry[0], clusters)
-        ext = Extent(entry[0], clusters)
-        entry[0] += clusters
-        entry[1] -= clusters
-        if entry[1] <= 0:
-            self._cache.remove(entry)
-        return ext
-
-    def _stage1(self, volume: Volume, clusters: int) -> Extent | None:
+    def _pick(self, volume: Volume, clusters: int) -> list[int] | None:
+        """The cache entry stage 1, else stage 2, takes from; None if both miss."""
+        fits = [entry for entry in self._cache if entry[1] >= clusters]
         outer_end = volume.bands[0].end_cluster
-        best = None
-        for entry in self._validated_entries(volume):
-            if entry[1] >= clusters and entry[0] + entry[1] <= outer_end:
-                if best is None or entry[0] < best[0]:
-                    best = entry
-        if best is None:
-            return None
-        return self._take_from_entry(volume, best, clusters)
-
-    def _stage2(self, volume: Volume, clusters: int) -> Extent | None:
-        best = None
-        for entry in self._validated_entries(volume):
-            if entry[1] < clusters:
-                continue
-            if best is None or entry[1] > best[1] or (entry[1] == best[1] and entry[0] < best[0]):
-                best = entry
-        if best is None:
-            return None
-        return self._take_from_entry(volume, best, clusters)
+        outer = [entry for entry in fits if entry[0] + entry[1] <= outer_end]
+        if outer:
+            return min(outer, key=lambda entry: entry[0])
+        return max(fits, key=lambda entry: (entry[1], -entry[0]), default=None)
 
     def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
         self._check_request(clusters)
-        hit = self._stage1(volume, clusters) or self._stage2(volume, clusters)
-        if hit is None:
-            self._refresh_cache(volume)
-            hit = self._stage1(volume, clusters) or self._stage2(volume, clusters)
-        if hit is not None:
-            return [hit]
+        self._validate_cache(volume)
+        entry = self._pick(volume, clusters)
+        if entry is None:
+            self._refresh_cache(volume)   # fresh from the free set: nothing to validate
+            entry = self._pick(volume, clusters)
+        if entry is not None:
+            volume.free.take(entry[0], clusters)
+            entry[0] += clusters
+            entry[1] -= clusters
+            if entry[1] == 0:
+                self._cache.remove(entry)
+            return [Extent(entry[0] - clusters, clusters)]
         if volume.free.total_free < clusters:
             raise _no_space(volume, clusters)
-        extents = _take_plan(volume, _fragment_plan_by_size(volume, clusters))
+        extents = _take_plan(volume, volume.free.largest_first_plan(clusters))
         self._refresh_cache(volume)
         return extents
 
@@ -311,53 +220,38 @@ class LogAppendPolicy(AllocPolicy):
     The head only advances through the contiguous free region in front of
     it, wrapping to cluster 0 when that region touches the end of the
     volume and the start is free.  It never threads through interior holes;
-    reclaiming those requires a cleaner pass (see clean_log).
+    reclaiming those requires a cleaner pass (see clean).
     """
 
     kind = "log_append"
+    fragmenting = True
 
     def __init__(self):
-        super().__init__(fragmenting=True)
         self.head = 0
         self.clusters_moved = 0  # lifetime cleaner cost
 
     def _head_plan(self, volume: Volume, clusters: int) -> list[tuple[int, int]] | None:
         total = volume.total_clusters
         head = self.head % total
-        idx = volume.free.index_of_run_containing(head)
-        if idx is None:
+        run = volume.free.run_containing(head)
+        if run is None:
             return None
-        run_off = volume.free.offsets[idx]
-        run_end = run_off + volume.free.lengths[idx]
-        ahead = run_end - head
+        ahead = run.end - head
         if ahead >= clusters:
             return [(head, clusters)]
-        plan = []
-        if ahead:
-            plan.append((head, ahead))
-        if run_end != total:
-            return None
-        remaining = clusters - ahead
-        # wrap: usable only if the region at cluster 0 is free
-        if volume.free.offsets and volume.free.offsets[0] == 0:
-            wrap_len = volume.free.lengths[0]
-            if run_off == 0:  # one run spans the whole volume; do not cross the head
-                wrap_len = head
-            if wrap_len >= remaining:
-                plan.append((0, remaining))
-                return plan
+        # wrap: usable only if the run reaches the end and the region at cluster 0
+        # is free; when one run spans the whole volume, do not cross the head
+        wrap_len = head if run.offset == 0 else volume.free.length_at(0)
+        if run.end == total and wrap_len >= clusters - ahead:
+            return [(head, ahead), (0, clusters - ahead)]
         return None
 
     def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
         self._check_request(clusters)
         plan = self._head_plan(volume, clusters)
         if plan is None:
-            raise NoSpaceError(
-                f"log head has no room for {clusters} clusters before the next"
-                " live extent; a cleaner pass is required",
-                requested=clusters,
-                available=volume.free_clusters,
-            )
+            raise _no_space(volume, clusters, f"log head has no room for {clusters} clusters before"
+                            " the next live extent; a cleaner pass is required")
         extents = _take_plan(volume, plan)
         self.head = extents[-1].end % volume.total_clusters
         return extents
@@ -408,8 +302,9 @@ _POLICIES = {cls.kind: cls for cls in (FirstFitPolicy, BestFitPolicy, WorstFitPo
 POLICY_KINDS = tuple(_POLICIES)
 
 
-def make_policy(kind: str, fragmenting: bool = False, params: dict | None = None) -> AllocPolicy:
-    """Build a policy from its config name and the params the schema gives its kind."""
+def make_policy(kind: str, fragmenting: bool | None = None, params: dict | None = None) -> AllocPolicy:
+    """A policy from its config name, its kind's params and its fragmenting flag
+    (None: the kind's fixed value, or False for the fits; any other is an error)."""
     cls = _POLICIES.get(kind)
     if cls is None:
         raise ConfigurationError(f"unknown policy kind {kind!r} (expected one of {POLICY_KINDS})")
@@ -417,69 +312,6 @@ def make_policy(kind: str, fragmenting: bool = False, params: dict | None = None
     unused = params.keys() - {f.path.rsplit(".", 1)[1] for f in FIELDS if f.kind == kind}
     if unused:
         raise ConfigurationError(f"unused {kind} params: {sorted(unused)}")
-    # the fits take the flag; every other kind fixes it
-    if cls.__init__ is AllocPolicy.__init__:
-        return cls(fragmenting=fragmenting)
-    return cls(**params)
-
-
-def clean_log(store: "ObjectStore", target_clusters: int | None = None) -> int:
-    """Run the log cleaner; returns clusters relocated.
-
-    target_clusters, when given, is the contiguous free space the caller
-    needs at the head; the cleaner compacts fully and raises if even that
-    cannot produce the target.
-    """
-    policy = store.config.policy
-    if policy.kind != "log_append":
-        raise UsageError("clean_log requires the log_append policy")
-    moved = policy.clean(store)
-    if target_clusters is not None and policy._head_plan(store.volume, target_clusters) is None:
-        raise _no_space(store.volume, target_clusters)
-    return moved
-
-
-@dataclass
-class RobsonTracker:
-    """Worst-case address-space watermark check for contiguous first fit.
-
-    Tracks peak live bytes (M), the largest single request in bytes (n),
-    and the high-water mark of the address space ever touched.  For a
-    contiguous-only first-fit allocator the watermark never exceeds
-    M * log2(n).  All byte figures use allocated (cluster-rounded) sizes,
-    since those are the requests the allocator actually sees.
-    """
-
-    cluster_size: int
-    peak_live_bytes: int = 0
-    max_request_bytes: int = 0
-    high_water_bytes: int = 0
-    live_bytes: int = field(default=0, repr=False)
-
-    def observe_alloc(self, extents: list[Extent]) -> None:
-        request = sum(e.length for e in extents) * self.cluster_size
-        self.live_bytes += request
-        self.peak_live_bytes = max(self.peak_live_bytes, self.live_bytes)
-        self.max_request_bytes = max(self.max_request_bytes, request)
-        top = max(e.end for e in extents) * self.cluster_size
-        self.high_water_bytes = max(self.high_water_bytes, top)
-
-    def observe_free(self, extents: list[Extent]) -> None:
-        self.live_bytes -= sum(e.length for e in extents) * self.cluster_size
-
-    @property
-    def bound_bytes(self) -> float:
-        if self.max_request_bytes < 2:
-            return float(self.peak_live_bytes)
-        return self.peak_live_bytes * math.log2(self.max_request_bytes)
-
-    @property
-    def within_bound(self) -> bool:
-        return self.high_water_bytes <= self.bound_bytes
-
-    def check(self) -> None:
-        if not self.within_bound:
-            raise InvariantViolationError(
-                f"first-fit watermark {self.high_water_bytes} exceeded"
-                f" {self.peak_live_bytes} * log2({self.max_request_bytes})"
-            )
+    policy = cls(**params)
+    policy.fragmenting = fixed_value("store.policy.fragmenting", kind, fragmenting, False)
+    return policy

@@ -1,8 +1,9 @@
 """The config schema: each field of an experiment config, declared once.
 
 FIELDS gives each leaf's dotted path, JSON type and default (REQUIRED: none;
-None: absent unless given).  parse() checks a document's shape, types and
-required and unknown keys, and returns it canonical, defaults filled in;
+None: absent unless given); a field may exist under one policy kind only, or
+have its value fixed by some kinds.  parse() checks a document's shape, types
+and required and unknown keys, and returns it canonical, defaults filled in;
 range checks belong to the objects built from it.  dump() reads the canonical
 form back off those objects, whose dataclasses take defaults via default().
 A type is int, float, bool, str, dict, list, [t] (an array of t) or
@@ -12,6 +13,7 @@ A type is int, float, bool, str, dict, list, [t] (an array of t) or
 from __future__ import annotations
 
 import copy
+import json
 import math
 from dataclasses import field
 from typing import NamedTuple
@@ -26,6 +28,7 @@ class Field(NamedTuple):
     type: object
     default: object = REQUIRED
     kind: str | None = None   # policy params: the one policy kind that takes them
+    fixed: dict | None = None  # policy kind -> its value here, its default and the only one allowed
 
 
 FIELDS = (
@@ -34,7 +37,9 @@ FIELDS = (
     Field("volume.seek_time", float, 0.008),            # seconds per non-adjacent extent
     Field("volume.bands", [(int, int, float)], None),   # [start, end, bytes/s]; None: default_bands
     Field("store.policy.kind", str, "first_fit"),
-    Field("store.policy.fragmenting", bool, True),
+    # the fits take the flag; buddy never fragments, ntfs_like and log_append always may
+    Field("store.policy.fragmenting", bool, True,
+          fixed={"buddy": False, "ntfs_like": True, "log_append": True}),
     Field("store.policy.params.cache_depth", int, 32, "ntfs_like"),
     Field("store.policy.params.min_order", int, 0, "buddy"),
     Field("store.write_request_size", int, 65536),
@@ -102,6 +107,15 @@ def default(path: str):
     return value
 
 
+def fixed_value(path: str, kind: str | None, value, otherwise):
+    """The value kind fixes at path (any other is a ConfigurationError), else value, else otherwise."""
+    fixed = next(f.fixed for f in FIELDS if f.path == path) or {}
+    if kind in fixed and value not in (None, fixed[kind]):
+        raise ConfigurationError(f"{path} must be {json.dumps(fixed[kind])} for {kind},"
+                                 f" not {json.dumps(value)}")
+    return fixed.get(kind, otherwise if value is None else value)
+
+
 def _node(path: str, tree: dict):
     for name in filter(None, path.split(".")):
         tree = tree[name]
@@ -139,6 +153,8 @@ def _section(doc, node: dict, where: str, kind: str | None = None) -> dict:
             out[name] = copy.deepcopy(spec.default)
         else:
             out[name] = _check(doc[name], spec.type, path)
+        if not isinstance(spec, dict) and spec.fixed:
+            out[name] = fixed_value(path, out.get("kind", kind), doc.get(name), out[name])
     return out
 
 

@@ -14,7 +14,6 @@ alone, giving an independent check on the record-keeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alloc import AllocPolicy, make_policy
@@ -283,39 +282,19 @@ class ObjectStore:
     def scan_layout(self) -> dict[Hashable, list[Extent]]:
         """Rebuild every object's extent list from the volume's owner runs alone.
 
-        Ignores the object records entirely.  One sweep over the runs in
-        offset order, beside the free and deferred runs, finds leftover temp
-        runs, runs outside the volume, overlapping runs and runs over
-        unallocated clusters; per key, the runs in sequence order must then
-        number the clusters 0, 1, 2, ... with no gap or repeat.  Each finding
-        is a CorruptionError naming the offending cluster.
+        Ignores the object records entirely.  The volume's sweep of its owner
+        runs finds runs outside the volume, overlapping runs and runs over
+        unallocated clusters, and this one leftover temp runs; per key, the
+        runs in sequence order must then number the clusters 0, 1, 2, ... with
+        no gap or repeat.  Each finding is a CorruptionError naming the
+        offending cluster.
         """
-        volume = self.volume
-        holes = sorted(chain(zip(volume.free.offsets, volume.free.lengths), volume.deferred))
-        n_holes = len(holes)
-        h = 0
-        prev_end = 0
         by_key: dict[Hashable, list[tuple[int, int, int]]] = {}
-        for offset, (length, key, seq) in sorted(volume.owners.items()):
-            end = offset + length
+        for offset, (length, key, seq) in self.volume.owner_runs():
             if isinstance(key, tuple) and key and key[0] == "~tmp":
                 raise CorruptionError(
                     f"cluster {offset} holds a temp run outside any replacement", cluster=offset
                 )
-            if length < 1 or end > volume.total_clusters:
-                raise CorruptionError(
-                    f"owner run ({offset},{length}) lies outside the volume", cluster=offset
-                )
-            if offset < prev_end:
-                raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
-            while h < n_holes and holes[h][0] + holes[h][1] <= offset:
-                h += 1
-            if h < n_holes and holes[h][0] < end:
-                cluster = max(offset, holes[h][0])
-                raise CorruptionError(
-                    f"cluster {cluster} is owned but not allocated", cluster=cluster
-                )
-            prev_end = end
             by_key.setdefault(key, []).append((seq, offset, length))
         layout: dict[Hashable, list[Extent]] = {}
         for key, runs in by_key.items():

@@ -1,9 +1,10 @@
 """The simulated disk: cluster space, free-run bookkeeping, and a banded cost model.
 
 A volume is an array of fixed-size clusters.  Free space is kept as a set of
-coalesced runs (no two free runs are ever adjacent), plus an ordered list of
-deferred frees that become reusable only at the next checkpoint, mirroring
-allocators whose log entry must commit before freed space can be recycled.
+coalesced runs (no two free runs are ever adjacent) in a FreeExtentIndex that
+answers the allocation policies' queries, plus the deferred frees that become
+reusable only at the next checkpoint, mirroring allocators whose log entry
+must commit before freed space can be recycled.
 
 Allocated clusters are tagged by owner runs written by the object layer: each
 run covers a contiguous range of clusters and names its owner key and the
@@ -14,11 +15,13 @@ any object records.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice, starmap
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ConfigurationError, InvariantViolationError
+from .errors import ConfigurationError, CorruptionError, InvariantViolationError
 from .schema import default, dump, parse
 
 DEFAULT_OUTER_RATE = 60e6   # bytes/second
@@ -74,97 +77,307 @@ def _validate_bands(bands: list[Band], total_clusters: int) -> None:
         raise ConfigurationError("last band must end at the last cluster")
 
 
-class FreeExtentIndex:
-    """Coalesced free runs in two parallel lists sorted by offset.
+def _cover(runs: Iterable[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    """(offset, length) pieces of the runs, in their order, that add up to k clusters."""
+    plan = []
+    for offset, length in runs:
+        plan.append((offset, min(k, length)))
+        k -= plan[-1][1]
+        if k == 0:
+            return plan
+    raise InvariantViolationError("a split plan asked for more clusters than are free")
 
-    Policies iterate the parallel lists directly (they are the hot path);
-    all mutation goes through add() and take() so the no-adjacent-runs
-    invariant cannot be broken from outside.
+
+# runs per chunk after a split; a chunk splits when it passes twice this
+CHUNK = 32
+
+
+class _SortedChunks:
+    """A sorted list kept as chunks of up to 2 * CHUNK items, so an update moves O(sqrt n)."""
+
+    __slots__ = ("chunks", "firsts")
+
+    def __init__(self, items: Iterable) -> None:
+        items = sorted(items)
+        self.chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
+        self.firsts = [chunk[0] for chunk in self.chunks]
+
+    def __reversed__(self) -> Iterator:
+        return chain.from_iterable(map(reversed, reversed(self.chunks)))
+
+    def _chunk(self, item) -> int:
+        """The chunk that holds item, or would: the last whose first is <= item, else 0."""
+        return max(bisect_right(self.firsts, item) - 1, 0)
+
+    def add(self, item) -> None:
+        if not self.chunks:
+            self.chunks.append([])
+            self.firsts.append(item)
+        ci = self._chunk(item)
+        chunk = self.chunks[ci]
+        insort(chunk, item)
+        self.firsts[ci] = chunk[0]
+        if len(chunk) > 2 * CHUNK:
+            self.chunks.insert(ci + 1, chunk[CHUNK:])
+            self.firsts.insert(ci + 1, chunk[CHUNK])
+            del chunk[CHUNK:]
+
+    def remove(self, item) -> None:
+        ci = self._chunk(item)
+        chunk = self.chunks[ci]
+        del chunk[bisect_left(chunk, item)]
+        if chunk:
+            self.firsts[ci] = chunk[0]
+        else:
+            del self.chunks[ci], self.firsts[ci]
+
+    def ceiling(self, item):
+        """The least item >= item, or None."""
+        ci = self._chunk(item)
+        for chunk in self.chunks[ci:ci + 2]:
+            j = bisect_left(chunk, item)
+            if j < len(chunk):
+                return chunk[j]
+        return None
+
+
+class FreeExtentIndex:
+    """Coalesced free runs (no two adjacent), answering the allocators' queries.
+
+    Address order is a blocked list: chunks of up to 2 * CHUNK runs, each with
+    its first offset (_firsts) and longest run (_maxes); a lookup bisects the
+    firsts, then the chunk, and first fit and the buddy search skip chunks
+    whose longest run is too short.  Size order is (length, offset) pairs in
+    the same kind of chunks, for best fit, worst fit and top(), built on
+    first use, so first fit never pays for it; until then best fit scans a
+    lone chunk, which is cheaper while a bulk load carves up one run.
+    The fits and aligned_block take what they find and return its offset, or
+    None; ties go to the lowest offset.  Only they, add() and take() mutate.
     """
 
-    __slots__ = ("offsets", "lengths", "total_free")
+    __slots__ = ("_offs", "_lens", "_firsts", "_maxes", "_sizes", "total_free")
 
     def __init__(self) -> None:
-        self.offsets: list[int] = []
-        self.lengths: list[int] = []
+        self.clear()
+
+    def clear(self) -> None:
+        self._offs: list[list[int]] = []
+        self._lens: list[list[int]] = []
+        self._firsts: list[int] = []
+        self._maxes: list[int] = []
+        self._sizes: _SortedChunks | None = None
         self.total_free = 0
 
     def __len__(self) -> int:
-        return len(self.offsets)
+        return sum(map(len, self._offs))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        """(offset, length) of every run, in address order."""
+        return chain.from_iterable(map(zip, self._offs, self._lens))
 
     def runs(self) -> Iterator[Extent]:
-        for off, length in zip(self.offsets, self.lengths):
-            yield Extent(off, length)
+        return starmap(Extent, self)
+
+    # -- lookups ------------------------------------------------------------------
+
+    def _before(self, cluster: int) -> tuple[int, int, int, int] | None:
+        """(chunk, position, offset, length) of the last run starting at or before cluster."""
+        ci = bisect_right(self._firsts, cluster) - 1
+        if ci < 0:
+            return None
+        j = bisect_right(self._offs[ci], cluster) - 1
+        return ci, j, self._offs[ci][j], self._lens[ci][j]
+
+    def run_containing(self, cluster: int) -> Extent | None:
+        run = self._before(cluster)
+        return Extent(run[2], run[3]) if run and run[2] + run[3] > cluster else None
+
+    def length_at(self, offset: int) -> int:
+        """The length of the run starting at offset; 0 if no run starts there."""
+        run = self._before(offset)
+        return run[3] if run and run[2] == offset else 0
 
     def intersects(self, offset: int, length: int) -> bool:
-        i = bisect_right(self.offsets, offset) - 1
-        if i >= 0 and self.offsets[i] + self.lengths[i] > offset:
-            return True
-        i += 1
-        return i < len(self.offsets) and self.offsets[i] < offset + length
+        run = self._before(offset + length - 1)
+        return run is not None and run[2] + run[3] > offset
 
-    def index_of_run_containing(self, cluster: int) -> int | None:
-        i = bisect_right(self.offsets, cluster) - 1
-        if i >= 0 and self.offsets[i] + self.lengths[i] > cluster:
-            return i
+    # -- queries that take what they find -------------------------------------------
+
+    def first_fit(self, k: int) -> int | None:
+        """Take k clusters off the front of the lowest-offset run that holds them."""
+        for ci, longest in enumerate(self._maxes):
+            if longest >= k:
+                lens = self._lens[ci]
+                j = 0
+                while lens[j] < k:
+                    j += 1
+                return self._take_front(ci, j, k)
         return None
+
+    def best_fit(self, k: int) -> int | None:
+        """Take k clusters off the front of the shortest run that holds them."""
+        if self._sizes is None and len(self._maxes) == 1:   # one chunk, as in a bulk load: scan it
+            lens = self._lens[0]
+            best = None
+            for j, length in enumerate(lens):
+                if k <= length and (best is None or length < lens[best]):
+                    best = j
+            return None if best is None else self._take_front(0, best, k)
+        pair = self._by_size().ceiling((k, -1))
+        return None if pair is None else self._take_front(*self._before(pair[1])[:2], k)
+
+    def worst_fit(self, k: int) -> int | None:
+        """Take k clusters off the front of the longest run, if it holds them."""
+        sizes = self._by_size()
+        longest = next(reversed(sizes), None)
+        if longest is None or longest[0] < k:
+            return None
+        return self._take_front(*self._before(sizes.ceiling((longest[0], -1))[1])[:2], k)
+
+    def aligned_block(self, block: int) -> int | None:
+        """Take the lowest free block of `block` clusters that starts at a multiple of block."""
+        for ci, longest in enumerate(self._maxes):
+            if longest >= block:
+                for offset, length in zip(self._offs[ci], self._lens[ci]):
+                    aligned = -(-offset // block) * block
+                    if aligned + block <= offset + length:
+                        return self.take(aligned, block)
+        return None
+
+    # -- split plans and the run cache's view (nothing is taken) -----------------------
+
+    def address_plan(self, k: int) -> list[tuple[int, int]]:
+        """(offset, length) pieces of k <= total_free clusters: whole runs in address order."""
+        return _cover(self, k)
+
+    def largest_first_plan(self, k: int) -> list[tuple[int, int]]:
+        """Pieces of k <= total_free clusters: whole runs longest first, ties to low offsets."""
+        return _cover(sorted(self, key=lambda run: -run[1]), k)   # a stable sort
+
+    def top(self, n: int) -> list[tuple[int, int]]:
+        """(length, offset) of the n longest runs, longest first, ties toward high offsets."""
+        return list(islice(reversed(self._by_size()), n))
+
+    # -- mutation -------------------------------------------------------------------
 
     def add(self, offset: int, length: int) -> None:
         """Insert a run, merging with adjacent neighbours.  Overlap is a bug."""
         if length < 1 or offset < 0:
             raise InvariantViolationError(f"bad free run ({offset},{length})")
-        i = bisect_right(self.offsets, offset)
-        left = i - 1
-        if left >= 0 and self.offsets[left] + self.lengths[left] > offset:
-            raise InvariantViolationError(
-                f"double free: ({offset},{length}) overlaps free run at {self.offsets[left]}"
-            )
-        if i < len(self.offsets) and offset + length > self.offsets[i]:
-            raise InvariantViolationError(
-                f"double free: ({offset},{length}) overlaps free run at {self.offsets[i]}"
-            )
-        merge_left = left >= 0 and self.offsets[left] + self.lengths[left] == offset
-        merge_right = i < len(self.offsets) and offset + length == self.offsets[i]
-        if merge_left and merge_right:
-            self.lengths[left] += length + self.lengths[i]
-            del self.offsets[i]
-            del self.lengths[i]
-        elif merge_left:
-            self.lengths[left] += length
-        elif merge_right:
-            self.offsets[i] = offset
-            self.lengths[i] += length
-        else:
-            self.offsets.insert(i, offset)
-            self.lengths.insert(i, length)
+        end = offset + length
+        nxt = self._before(end)
+        prev = self._before(end - 1) if nxt is not None and nxt[2] == end else nxt
+        if prev is not None and prev[2] + prev[3] > offset:
+            raise InvariantViolationError(f"double free: ({offset},{length}) overlaps a free run")
         self.total_free += length
-
-    def take(self, index: int, offset: int, length: int) -> None:
-        """Remove [offset, offset+length) from inside the run at position index."""
-        run_off = self.offsets[index]
-        run_end = run_off + self.lengths[index]
-        if offset < run_off or offset + length > run_end:
-            raise InvariantViolationError("take() outside the chosen run")
-        before = offset - run_off
-        after = run_end - (offset + length)
-        if before == 0 and after == 0:
-            del self.offsets[index]
-            del self.lengths[index]
-        elif before == 0:
-            self.offsets[index] = offset + length
-            self.lengths[index] = after
-        elif after == 0:
-            self.lengths[index] = before
+        touches_prev = prev is not None and prev[2] + prev[3] == offset
+        if nxt is not None and nxt[2] == end:   # merge with the run to the right
+            if not touches_prev:
+                self._splice(nxt[0], nxt[1], 1, ((offset, length + nxt[3]),))
+                return
+            self._splice(nxt[0], nxt[1], 1, ())
+            length += nxt[3]
+        if touches_prev:
+            self._splice(prev[0], prev[1], 1, ((prev[2], prev[3] + length),))
+        elif self._firsts:   # a run of its own, after prev or first of all
+            self._splice(*((prev[0], prev[1] + 1) if prev else (0, 0)), 0, ((offset, length),))
         else:
-            self.lengths[index] = before
-            self.offsets.insert(index + 1, offset + length)
-            self.lengths.insert(index + 1, after)
-        self.total_free -= length
+            self._insert_chunk(0, [offset], [length])
+            self._resize((), ((length, offset),))
 
-    def clear(self) -> None:
-        self.offsets.clear()
-        self.lengths.clear()
-        self.total_free = 0
+    def take(self, offset: int, length: int) -> int:
+        """Remove [offset, offset+length), which must lie inside one free run; return offset."""
+        run = self._before(offset)
+        if run is None or length < 1 or offset + length > run[2] + run[3]:
+            raise InvariantViolationError(f"take({offset},{length}) outside a free run")
+        ci, j, run_off, run_len = run
+        end, run_end = offset + length, run_off + run_len
+        pieces = ((run_off, offset - run_off),) if offset > run_off else ()
+        self._splice(ci, j, 1, pieces + ((end, run_end - end),) if end < run_end else pieces)
+        self.total_free -= length
+        return offset
+
+    def _take_front(self, ci: int, j: int, k: int) -> int:
+        """Take k clusters off the front of the run at (ci, j); return its offset."""
+        offs = self._offs[ci]
+        lens = self._lens[ci]
+        offset = offs[j]
+        length = lens[j]
+        if length == k:
+            self._splice(ci, j, 1, ())
+        else:   # the fits' hot path: shrink the run in place
+            offs[j] = offset + k
+            lens[j] = length - k
+            if j == 0:
+                self._firsts[ci] = offset + k
+            if length == self._maxes[ci]:
+                self._maxes[ci] = max(lens)
+            if self._sizes is not None:   # the shorter run moves down the size order
+                self._resize(((length, offset),), ((length - k, offset + k),))
+        self.total_free -= k
+        return offset
+
+    def _splice(self, ci: int, j: int, removed: int, pieces) -> None:
+        """Put the (offset, length) pieces in place of `removed` (0 or 1) runs at (ci, j)."""
+        offs, lens = self._offs[ci], self._lens[ci]
+        gone = lens[j] if removed else 0
+        if self._sizes is not None:
+            self._resize(((gone, offs[j]),) if removed else (), [(n, o) for o, n in pieces])
+        if removed == len(pieces) == 1:
+            offs[j], lens[j] = pieces[0]
+        else:
+            offs[j:j + removed] = [offset for offset, _length in pieces]
+            lens[j:j + removed] = [length for _offset, length in pieces]
+            if not offs:
+                del self._offs[ci], self._lens[ci], self._firsts[ci], self._maxes[ci]
+                return
+            if len(offs) > 2 * CHUNK:
+                self._insert_chunk(ci + 1, offs[CHUNK:], lens[CHUNK:])
+                del offs[CHUNK:], lens[CHUNK:]
+                gone = self._maxes[ci]   # the tail may have held the maximum
+        self._firsts[ci] = offs[0]
+        longest = self._maxes[ci]
+        if gone == longest:
+            self._maxes[ci] = max(lens)
+        else:
+            for _offset, length in pieces:
+                if length > longest:
+                    self._maxes[ci] = longest = length
+
+    def _insert_chunk(self, ci: int, offs: list[int], lens: list[int]) -> None:
+        self._offs.insert(ci, offs)
+        self._lens.insert(ci, lens)
+        self._firsts.insert(ci, offs[0])
+        self._maxes.insert(ci, max(lens))
+
+    def _by_size(self) -> _SortedChunks:
+        if self._sizes is None:
+            self._sizes = _SortedChunks((length, offset) for offset, length in self)
+        return self._sizes
+
+    def _resize(self, old, new) -> None:
+        """Swap (length, offset) pairs in the size order, once it has been built."""
+        sizes = self._sizes
+        if sizes is not None:
+            for pair in old:
+                sizes.remove(pair)
+            for pair in new:
+                sizes.add(pair)
+
+    def check(self) -> None:
+        """Recount everything the index keeps; raise on any inconsistency."""
+        runs = list(self)
+        if (not all(self._offs) or self._firsts != [offs[0] for offs in self._offs]
+                or self._maxes != [max(lens) for lens in self._lens]):
+            raise InvariantViolationError("free-run chunks are empty, misindexed or stale")
+        if any(o <= p + n or m < 1 for (p, n), (o, m) in zip([(-2, 0)] + runs, runs)):
+            raise InvariantViolationError("free runs overlap, touch or are out of order")
+        if sum(n for _o, n in runs) != self.total_free:
+            raise InvariantViolationError("free-set total drifted from its runs")
+        sizes = self._sizes
+        if sizes is not None and (list(chain.from_iterable(sizes.chunks)) != sorted((n, o) for o, n in runs)
+                                  or sizes.firsts != [chunk[0] for chunk in sizes.chunks] or not all(sizes.chunks)):
+            raise InvariantViolationError("the free runs' size order is stale")
 
 
 @dataclass
@@ -176,8 +389,9 @@ class Volume:
     bands: list[Band]
     seek_time: float = default("volume.seek_time")   # per non-adjacent extent transition
     free: FreeExtentIndex = field(default_factory=FreeExtentIndex)
-    deferred: list[Extent] = field(default_factory=list)
+    deferred: list[Extent] = field(default_factory=list)   # in the order they were staged
     deferred_total: int = 0
+    _deferred_sorted: list[Extent] = field(default_factory=list, repr=False, compare=False)
     # first cluster of a run -> (length, owner key, sequence number of that cluster)
     owners: dict[int, tuple] = field(default_factory=dict)
 
@@ -216,20 +430,27 @@ class Volume:
                 raise InvariantViolationError(f"release of malformed extent {ext}")
             if self.free.intersects(ext.offset, ext.length):
                 raise InvariantViolationError(f"release of non-allocated extent {ext}")
-            for staged in self.deferred:
-                if staged.offset < ext.end and ext.offset < staged.end:
-                    raise InvariantViolationError(f"release of deferred extent {ext}")
+            if self._in_deferred(ext.offset, ext.end):
+                raise InvariantViolationError(f"release of deferred extent {ext}")
             if mode == "immediate":
                 self.free.add(ext.offset, ext.length)
             else:
                 self.deferred.append(ext)
+                insort(self._deferred_sorted, ext)
                 self.deferred_total += ext.length
+
+    def _in_deferred(self, offset: int, end: int) -> bool:
+        """Whether [offset, end) overlaps a deferred extent."""
+        staged = self._deferred_sorted
+        i = bisect_left(staged, (end,)) - 1
+        return i >= 0 and staged[i].end > offset
 
     def checkpoint(self) -> None:
         """Commit: every deferred extent becomes reusable free space."""
         for ext in self.deferred:
             self.free.add(ext.offset, ext.length)
         self.deferred.clear()
+        self._deferred_sorted.clear()
         self.deferred_total = 0
 
     # -- owner runs ---------------------------------------------------------
@@ -318,57 +539,57 @@ class Volume:
 
     def free_extent_histogram(self) -> dict[int, int]:
         """Count of free runs by length.  Deferred extents are not free yet."""
-        hist: dict[int, int] = {}
-        for length in self.free.lengths:
-            hist[length] = hist.get(length, 0) + 1
-        return hist
+        return dict(Counter(length for _offset, length in self.free))
 
     def audit(self, deep: bool = False) -> None:
         """Recount free + deferred + allocated; abort on any breach.
 
         Only valid between operations (mid-protocol states may legitimately
         hold clusters that are neither owned nor free).  deep=True also
-        checks that no two owner runs overlap and that none lies outside the
-        volume or touches a free or deferred run, in O(runs log runs).
+        sweeps the owner runs (see owner_runs), in O(runs log runs).
         """
-        free_recount = sum(self.free.lengths)
-        if free_recount != self.free.total_free:
-            raise InvariantViolationError("free-set total drifted from its runs")
-        prev_end = -1
-        for off, length in zip(self.free.offsets, self.free.lengths):
-            if off < prev_end:
-                raise InvariantViolationError("free runs overlap or are out of order")
-            if off == prev_end:
-                raise InvariantViolationError("adjacent free runs left uncoalesced")
-            prev_end = off + length
+        self.free.check()
         deferred_recount = sum(e.length for e in self.deferred)
         if deferred_recount != self.deferred_total:
             raise InvariantViolationError("deferred total drifted from its extents")
+        if sorted(self.deferred) != self._deferred_sorted:
+            raise InvariantViolationError("deferred extents and their offset order disagree")
         owned = sum(run[0] for run in self.owners.values())
-        if free_recount + deferred_recount + owned != self.total_clusters:
+        if self.free.total_free + deferred_recount + owned != self.total_clusters:
             raise InvariantViolationError(
-                f"conservation breach: free {free_recount} + deferred {deferred_recount}"
+                f"conservation breach: free {self.free.total_free} + deferred {deferred_recount}"
                 f" + allocated {owned} != {self.total_clusters}"
             )
         if deep:
-            self._audit_owner_runs()
+            self.owner_runs()
 
-    def _audit_owner_runs(self) -> None:
-        deferred = sorted(self.deferred)
-        deferred_offsets = [e.offset for e in deferred]
-        prev_end = 0
-        for offset, (length, _key, _seq) in sorted(self.owners.items()):
+    def owner_runs(self) -> list[tuple[int, tuple]]:
+        """The owner runs in offset order, as (offset, (length, key, first_seq)).
+
+        Sweeps them beside the free and deferred runs first: a run outside the
+        volume, overlapping the one before it, or over a free or deferred
+        cluster is a CorruptionError naming the first offending cluster.
+        """
+        runs = sorted(self.owners.items())
+        holes = sorted(chain(self.free, self.deferred))
+        n_holes = len(holes)
+        h = prev_end = 0
+        for offset, (length, _key, _seq) in runs:
             end = offset + length
             if length < 1 or end > self.total_clusters:
-                raise InvariantViolationError(f"owner run ({offset},{length}) is malformed")
+                raise CorruptionError(f"owner run ({offset},{length}) is malformed:"
+                                      " it lies outside the volume", cluster=offset)
             if offset < prev_end:
-                raise InvariantViolationError(f"owner runs overlap at cluster {offset}")
-            if self.free.intersects(offset, length):
-                raise InvariantViolationError(f"owner run at {offset} lies in the free set")
-            i = bisect_left(deferred_offsets, end) - 1
-            if i >= 0 and deferred[i].end > offset:
-                raise InvariantViolationError(f"owner run at {offset} lies in a deferred extent")
+                raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
+            while h < n_holes and holes[h][0] + holes[h][1] <= offset:
+                h += 1
+            if h < n_holes and holes[h][0] < end:
+                cluster = max(offset, holes[h][0])
+                where = "a deferred extent" if self._in_deferred(cluster, cluster + 1) else "the free set"
+                raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
+                                      f" it lies in {where}", cluster=cluster)
             prev_end = end
+        return runs
 
     # -- snapshots ------------------------------------------------------------
 
@@ -376,7 +597,7 @@ class Volume:
         """The geometry, as in a config's volume section, plus the free, deferred and owner runs."""
         return {
             **dump(self, "volume"),
-            "free": [[e.offset, e.length] for e in self.free.runs()],
+            "free": [list(run) for run in self.free],
             "deferred": [[e.offset, e.length] for e in self.deferred],
             "owners": [[off, length, key, seq] for off, (length, key, seq) in sorted(self.owners.items())],
         }

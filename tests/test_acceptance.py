@@ -12,9 +12,10 @@ import time
 
 import pytest
 
+from alloc_tools import RobsonTracker
 from conftest import drive_mixed_ops
 from fraglab import harness
-from fraglab.alloc import FirstFitPolicy, RobsonTracker, make_policy
+from fraglab.alloc import FirstFitPolicy, make_policy
 from fraglab.errors import NoSpaceError, SimulatedAbortError
 from fraglab.rng import Xorshift64Star
 from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS

@@ -7,11 +7,10 @@ from fraglab.alloc import (
     FirstFitPolicy,
     LogAppendPolicy,
     NtfsLikePolicy,
-    RobsonTracker,
     WorstFitPolicy,
-    clean_log,
     make_policy,
 )
+from alloc_tools import RobsonTracker, clean_log
 from fraglab.errors import ConfigurationError, NoSpaceError, UsageError
 from fraglab.rng import Xorshift64Star
 from fraglab.store import ObjectStore, StoreConfig
@@ -20,7 +19,7 @@ from fraglab.volume import Band, Extent, create_volume
 
 def carve(volume, free_runs):
     """Force the free set to exactly free_runs (everything else allocated)."""
-    volume.free.take(0, 0, volume.total_clusters)
+    volume.free.take(0, volume.total_clusters)
     for off, length in free_runs:
         volume.release([Extent(off, length)], "immediate")
     return volume
@@ -236,6 +235,13 @@ class TestNtfsLike:
         vol.release([Extent(10, 80)], "immediate")  # bigger, but invisible
         assert policy.alloc(vol, 10) == [Extent(110, 10)]  # still old run
         assert policy.alloc(vol, 35) == [Extent(10, 35)]  # miss -> refresh
+
+    def test_cache_entry_shrinks_with_its_run(self):
+        vol = carve(two_band_volume(300, 5), [(100, 50), (200, 30)])
+        policy = NtfsLikePolicy()
+        assert policy.alloc(vol, 10) == [Extent(100, 10)]  # cache: (110, 40), (200, 30)
+        vol.free.take(130, 20)  # the run at 110 shrinks to 20 behind the cache's back
+        assert policy.alloc(vol, 25) == [Extent(200, 25)]
 
     def test_stage3_fragments_largest_first(self):
         vol = carve(two_band_volume(300, 5), [(100, 50), (10, 10)])

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from fraglab import cli, harness, schema
+from fraglab.alloc import POLICY_KINDS, make_policy
 from fraglab.errors import ConfigurationError, EXIT_CONFIG
 from fraglab.store import ObjectStore, StoreConfig
 from fraglab.workload import bulk_load, run_to_age
@@ -116,6 +117,21 @@ MALFORMED = {
         "unknown key store.policy.params.cache_depth",
     ),
     "free_mode_bogus": (("run", "validate"), json.dumps(config_doc(free_mode="bogus")), "free_mode"),
+    "ntfs_like_not_fragmenting": (
+        ("run", "validate"),
+        json.dumps(config_doc(policy={"kind": "ntfs_like", "fragmenting": False})),
+        "store.policy.fragmenting must be true for ntfs_like, not false",
+    ),
+    "buddy_fragmenting": (
+        ("run", "validate"),
+        json.dumps(config_doc(policy={"kind": "buddy", "fragmenting": True})),
+        "store.policy.fragmenting must be false for buddy, not true",
+    ),
+    "grid_log_append_not_fragmenting": (
+        ("grid",),
+        json.dumps(grid_doc(axes={"policy": [{"kind": "log_append", "fragmenting": False}]})),
+        "store.policy.fragmenting must be true for log_append",
+    ),
 }
 
 
@@ -254,3 +270,14 @@ def test_store_defaults_come_from_the_schema():
     config = StoreConfig(policy=None)
     for name in ("write_request_size", "size_hint", "checkpoint_every", "free_mode"):
         assert getattr(config, name) == schema.DEFAULTS[f"store.{name}"]
+
+
+def test_a_kind_that_fixes_fragmenting_defaults_to_its_value():
+    flags = {kind: schema.parse(kind, "store.policy")["fragmenting"] for kind in POLICY_KINDS}
+    assert flags == {"first_fit": True, "best_fit": True, "worst_fit": True,
+                     "buddy": False, "ntfs_like": True, "log_append": True}
+    # the library builds the same flags, and refuses any other
+    assert [make_policy(kind).fragmenting for kind in ("buddy", "ntfs_like", "log_append")] == [
+        False, True, True]
+    with pytest.raises(ConfigurationError, match="store.policy.fragmenting"):
+        make_policy("ntfs_like", fragmenting=False)

@@ -1,0 +1,261 @@
+"""The free-run index against a plain sorted list, and the indexed policies
+against the linear ones they replaced (tests/linear_alloc.py).
+
+The index keeps its runs in chunks; tests that need many chunks on a small
+volume shrink the chunk size, so that chunk splits, chunk deletions and
+merges across a chunk boundary happen within a few dozen operations.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from conftest import drive_mixed_ops
+from fraglab import volume as volume_module
+from fraglab.alloc import make_policy
+from fraglab.errors import InvariantViolationError, NoSpaceError, SimulatedAbortError
+from fraglab.store import ObjectStore, StoreConfig
+from fraglab.volume import Band, FreeExtentIndex, create_volume
+from linear_alloc import LINEAR_POLICIES, linear_volume
+from test_owner_runs import CLUSTER, TOTAL, _abort_at, ops
+
+# -- the index against a sorted list -------------------------------------------
+
+N = 1024   # clusters under the model
+
+
+def model_runs(free):
+    """Maximal free runs of a per-cluster free bitmap, in address order."""
+    runs = []
+    start = None
+    for c, is_free in enumerate(free + [False]):
+        if is_free and start is None:
+            start = c
+        elif not is_free and start is not None:
+            runs.append((start, c - start))
+            start = None
+    return runs
+
+
+def expected(name, runs, arg):
+    """What a query should give, from the runs alone: (offset taken or plan or list)."""
+    if name == "first_fit":
+        return next((off for off, n in runs if n >= arg), None)
+    if name == "best_fit":
+        return min(((n, off) for off, n in runs if n >= arg), default=(0, None))[1]
+    if name == "worst_fit":
+        longest = max((n for _off, n in runs), default=0)
+        return next((off for off, n in runs if n == longest), None) if longest >= arg else None
+    if name == "aligned_block":
+        for off, n in runs:
+            aligned = -(-off // arg) * arg
+            if aligned + arg <= off + n:
+                return aligned
+        return None
+    if name in ("address_plan", "largest_first_plan"):
+        order = runs if name == "address_plan" else sorted(runs, key=lambda r: (-r[1], r[0]))
+        plan = []
+        for off, n in order:
+            take = min(arg, n)
+            plan.append((off, take))
+            arg -= take
+            if arg == 0:
+                return plan
+    if name == "top":
+        return sorted(((n, off) for off, n in runs), reverse=True)[:arg]
+    raise AssertionError(name)
+
+
+TAKES = ("first_fit", "best_fit", "worst_fit", "aligned_block")
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("add", "add", "take")), st.integers(0, N - 1), st.integers(1, 24)),
+        st.tuples(st.sampled_from(TAKES + ("address_plan", "largest_first_plan")),
+                  st.integers(1, 40)),
+        st.tuples(st.just("top"), st.integers(1, 40)),
+        st.tuples(st.just("probe"), st.integers(0, N - 1), st.integers(1, 24)),
+    ),
+    max_size=120,
+)
+
+
+def check_against_model(index, free):
+    runs = model_runs(free)
+    assert list(index) == runs
+    assert len(index) == len(runs)
+    assert index.total_free == sum(free)
+    index.check()
+
+
+def run_index_ops(seed_runs, steps):
+    free = [False] * N
+    index = FreeExtentIndex()
+    for off, n in seed_runs:
+        index.add(off, n)
+        free[off:off + n] = [True] * n
+    check_against_model(index, free)
+    for op in steps:
+        runs = model_runs(free)
+        name = op[0]
+        if name == "add":
+            # free the allocated span at or after op[1], at most op[2] long
+            start = next((c for c in range(op[1], N) if not free[c]), None)
+            if start is None:
+                continue
+            end = start
+            while end < N and end - start < op[2] and not free[end]:
+                end += 1
+            index.add(start, end - start)
+            free[start:end] = [True] * (end - start)
+            with pytest.raises(InvariantViolationError):
+                index.add(start, 1)   # a double free changes nothing
+        elif name == "take":
+            run = index.run_containing(op[1])
+            if run is None:
+                with pytest.raises(InvariantViolationError):
+                    index.take(op[1], 1)
+                continue
+            n = min(op[2], run.end - op[1])
+            index.take(op[1], n)
+            free[op[1]:op[1] + n] = [False] * n
+        elif name in TAKES:
+            want = expected(name, runs, op[1])
+            assert getattr(index, name)(op[1]) == want, name
+            if want is not None:
+                free[want:want + op[1]] = [False] * op[1]
+        elif name == "top":
+            assert index.top(op[1]) == expected(name, runs, op[1])
+        elif name == "probe":
+            c, n = op[1], op[2]
+            containing = next(((o, ln) for o, ln in runs if o <= c < o + ln), None)
+            assert index.run_containing(c) == containing
+            assert index.length_at(c) == dict(runs).get(c, 0)
+            assert index.intersects(c, n) == any(free[c:c + n])
+        elif sum(free) >= op[1]:
+            assert getattr(index, name)(op[1]) == expected(name, runs, op[1])
+        check_against_model(index, free)
+
+
+# every other cluster free: 512 one-cluster runs, many chunks at any chunk size
+STRIPES = [(off, 1) for off in range(0, N, 2)]
+
+
+@pytest.mark.parametrize("chunk", [2, volume_module.CHUNK])
+@pytest.mark.parametrize("seed_runs", [[], STRIPES], ids=["empty", "stripes"])
+@settings(max_examples=40, deadline=None)
+@given(steps=index_ops)
+def test_index_matches_a_sorted_list(chunk, seed_runs, steps):
+    with mock.patch.object(volume_module, "CHUNK", chunk):
+        run_index_ops(seed_runs, steps)
+
+
+def test_chunks_split_delete_and_merge_across_boundaries():
+    index = FreeExtentIndex()
+    for off, n in STRIPES:
+        index.add(off, n)
+    chunks = len(index._firsts)
+    assert chunks > 1 and max(map(len, index._offs)) <= 2 * volume_module.CHUNK
+    # fill the gap between the last run of chunk 0 and the first of chunk 1
+    last = index._offs[0][-1]
+    index.add(last + 1, 1)
+    assert len(index._firsts) == chunks and index.length_at(last) == 3
+    index.check()
+    # take every run of chunk 0: the chunk goes
+    for off, n in list(zip(index._offs[0], index._lens[0])):
+        index.take(off, n)
+    assert len(index._firsts) == chunks - 1
+    index.check()
+    lowest = index._firsts[0]
+    assert index.best_fit(3) is None and index.first_fit(1) == lowest
+    index.check()
+
+
+# -- the policies against the linear oracles -------------------------------------
+
+CONFIGS = [(kind, mode) for kind in LINEAR_POLICIES for mode in ("deferred", "immediate")
+           if not (kind == "ntfs_like" and mode == "immediate")]
+
+
+def build(kind, free_mode, make_volume, policies, total, wrs, checkpoint_every):
+    volume = make_volume(total, CLUSTER, [Band(0, total // 4, 60e6), Band(total // 4, total, 30e6)])
+    # every kind fragments where it can; buddy never does
+    fragmenting = kind != "buddy"
+    policy = policies[kind]() if policies else make_policy(kind, fragmenting)
+    policy.fragmenting = fragmenting
+    return ObjectStore(volume, StoreConfig(policy=policy, write_request_size=wrs,
+                                           free_mode=free_mode, checkpoint_every=checkpoint_every))
+
+
+def recorded(store):
+    """Log every extent list the store's policy returns."""
+    log = []
+    inner = store.config.policy.alloc
+
+    def alloc(volume, clusters):
+        out = inner(volume, clusters)
+        log.append(out)
+        return out
+
+    store.config.policy.alloc = alloc
+    return log
+
+
+def apply(store, op, oid):
+    """One op of test_owner_runs' generator; returns its outcome."""
+    if op[0] == "put":
+        try:
+            store.put_new(oid, op[1])
+        except NoSpaceError:
+            return "no space"
+    elif op[0] == "safe_write" and store.live_count():
+        store.step_hook = _abort_at(op[3]) if op[3] else None
+        try:
+            store.safe_write(store.id_at(op[1] % store.live_count()), op[2])
+        except NoSpaceError:
+            return "no space"
+        except SimulatedAbortError:
+            store.recover()
+            return "aborted"
+        finally:
+            store.step_hook = None
+    elif op[0] == "delete" and store.live_count():
+        store.delete(store.id_at(op[1] % store.live_count()))
+    elif op[0] == "checkpoint":
+        store.checkpoint_now()
+    return "ok"
+
+
+def state(store):
+    volume = store.volume
+    return (list(volume.free), volume.deferred, volume.owners,
+            [(rec.id, rec.extents) for rec in store.records()])
+
+
+@pytest.mark.parametrize("kind, free_mode", CONFIGS)
+@settings(max_examples=20, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(ops=ops)
+def test_policies_match_linear_oracles(kind, free_mode, ops):
+    with mock.patch.object(volume_module, "CHUNK", 2):
+        stores = [build(kind, free_mode, make, policies, TOTAL, 4 * CLUSTER, 3)
+                  for make, policies in ((create_volume, None), (linear_volume, LINEAR_POLICIES))]
+        logs = [recorded(store) for store in stores]
+        for oid, op in enumerate(ops):
+            outcomes = [apply(store, op, oid) for store in stores]
+            assert outcomes[0] == outcomes[1], op
+            assert logs[0] == logs[1], op
+            assert state(stores[0]) == state(stores[1]), op
+            stores[0].volume.audit(deep=True)
+
+
+@pytest.mark.parametrize("kind, free_mode", CONFIGS)
+def test_long_mixed_runs_match_linear_oracles(kind, free_mode):
+    """Thousands of ops at the default chunk size, with hundreds of free runs."""
+    ends = []
+    for make, policies in ((create_volume, None), (linear_volume, LINEAR_POLICIES)):
+        store = build(kind, free_mode, make, policies, 4096, CLUSTER, 4)
+        log = recorded(store)
+        drive_mixed_ops(store, seed=5, n_ops=800, size_range=(CLUSTER, 12 * CLUSTER), scan_every=0)
+        ends.append((log, state(store)))
+    assert ends[0] == ends[1]
+    assert max(len(extents) for extents in ends[0][0]) >= 1

@@ -296,7 +296,7 @@ class TestScanner:
         store = make_store(size_hint=True)
         store.put_new("a", 4 * 4096)
         (ext,) = store.volume.free.runs()
-        store.volume.free.take(0, ext.offset, 2)
+        store.volume.free.take(ext.offset, 2)
         store.volume.set_owner(ext.offset, 2, "ghost", 0)  # allocated, but no record
         assert store.scan_layout()["ghost"] == [Extent(ext.offset, 2)]
         with pytest.raises(CorruptionError, match="unexpected"):

@@ -50,7 +50,7 @@ def test_default_bands_cover_volume():
 class TestRelease:
     def test_immediate_release_coalesces(self, flat_volume):
         vol = flat_volume
-        vol.free.take(0, 0, 100)
+        vol.free.take(0, 100)
         vol.release([Extent(0, 4)], "immediate")
         vol.release([Extent(4, 4)], "immediate")
         assert list(vol.free.runs()) == [Extent(0, 8)]
@@ -58,7 +58,7 @@ class TestRelease:
     def test_deferred_release_not_reusable(self, flat_volume):
         vol = flat_volume
         # allocate 0..20 by hand, then defer 10..13
-        vol.free.take(0, 0, 20)
+        vol.free.take(0, 20)
         vol.release([Extent(10, 3)], "deferred")
         assert vol.free_clusters == 80
         assert not vol.free.intersects(10, 3)
@@ -66,14 +66,14 @@ class TestRelease:
 
     def test_double_release_aborts(self, flat_volume):
         vol = flat_volume
-        vol.free.take(0, 0, 8)
+        vol.free.take(0, 8)
         vol.release([Extent(0, 4)], "immediate")
         with pytest.raises(InvariantViolationError):
             vol.release([Extent(0, 4)], "immediate")
 
     def test_release_of_deferred_extent_aborts(self, flat_volume):
         vol = flat_volume
-        vol.free.take(0, 0, 8)
+        vol.free.take(0, 8)
         vol.release([Extent(0, 4)], "deferred")
         with pytest.raises(InvariantViolationError):
             vol.release([Extent(2, 2)], "deferred")
@@ -82,7 +82,7 @@ class TestRelease:
 class TestCheckpoint:
     def test_checkpoint_commits_deferred(self, flat_volume):
         vol = flat_volume
-        vol.free.take(0, 0, 20)
+        vol.free.take(0, 20)
         vol.release([Extent(10, 3)], "deferred")
         vol.checkpoint()
         assert vol.deferred == []
@@ -96,7 +96,7 @@ class TestCheckpoint:
     def test_checkpoint_coalesces_with_existing_free(self, flat_volume):
         # oracle: rebuild runs from a cluster bitmap
         vol = flat_volume
-        vol.free.take(0, 0, 16)
+        vol.free.take(0, 16)
         oracle = BitmapOracle(100)
         oracle.mark([Extent(0, 16)], "A")
         vol.release([Extent(8, 8)], "immediate")
@@ -150,7 +150,7 @@ class TestHistogram:
 
     def test_two_equal_runs(self, flat_volume):
         vol = flat_volume
-        vol.free.take(0, 0, 100)
+        vol.free.take(0, 100)
         vol.release([Extent(0, 4)], "immediate")
         vol.release([Extent(10, 4)], "immediate")
         assert vol.free_extent_histogram() == {4: 2}
@@ -167,13 +167,9 @@ class TestHistogram:
                     vol.checkpoint()
             else:
                 want = rng.randint(1, 16)
-                # first fit by hand against the raw index
-                for i, length in enumerate(vol.free.lengths):
-                    if length >= want:
-                        off = vol.free.offsets[i]
-                        vol.free.take(i, off, want)
-                        allocated.append(Extent(off, want))
-                        break
+                off = vol.free.first_fit(want)
+                if off is not None:
+                    allocated.append(Extent(off, want))
         hist = vol.free_extent_histogram()
         assert sum(length * n for length, n in hist.items()) == vol.free_clusters
 
@@ -188,10 +184,9 @@ def test_random_sequences_match_bitmap_oracle(ops):
     deferred = []
     for kind, pos, length in ops:
         if kind == 0:  # allocate first-fit at/after pos, length clamped
-            for i, run_len in enumerate(vol.free.lengths):
-                off = vol.free.offsets[i]
+            for off, run_len in list(vol.free):
                 if off >= pos and run_len >= length:
-                    vol.free.take(i, off, length)
+                    vol.free.take(off, length)
                     ext = Extent(off, length)
                     allocated[off] = ext
                     oracle.mark([ext], "A")
@@ -220,14 +215,14 @@ def test_random_sequences_match_bitmap_oracle(ops):
 
 def test_audit_passes_on_consistent_state(flat_volume):
     vol = flat_volume
-    vol.free.take(0, 0, 10)
+    vol.free.take(0, 10)
     vol.set_owner(0, 10, "x", 0)
     vol.audit()
 
 
 def test_audit_catches_leak(flat_volume):
     vol = flat_volume
-    vol.free.take(0, 0, 10)  # allocated but never marked: a leak
+    vol.free.take(0, 10)  # allocated but never marked: a leak
     with pytest.raises(InvariantViolationError):
         vol.audit()
 
@@ -236,7 +231,7 @@ def test_volume_state_round_trip(flat_volume):
     from fraglab.volume import Volume
 
     vol = flat_volume
-    vol.free.take(0, 0, 30)
+    vol.free.take(0, 30)
     vol.release([Extent(20, 5)], "deferred")
     vol.set_owner(0, 12, 7, 0)
     vol.set_owner(12, 8, 7, 12)
@@ -252,7 +247,7 @@ def test_volume_state_round_trip(flat_volume):
 
 def test_clear_markers_splits_a_longer_run(flat_volume):
     vol = flat_volume
-    vol.free.take(0, 0, 10)
+    vol.free.take(0, 10)
     vol.set_owner(0, 10, "x", 0)
     vol.clear_markers([Extent(0, 4)])
     assert vol.owners == {4: (6, "x", 4)}
@@ -262,7 +257,7 @@ def test_clear_markers_splits_a_longer_run(flat_volume):
 
 def test_clear_markers_walks_consecutive_runs(flat_volume):
     vol = flat_volume
-    vol.free.take(0, 0, 10)
+    vol.free.take(0, 10)
     vol.set_owner(0, 3, "x", 0)
     vol.set_owner(3, 7, "x", 3)
     vol.clear_markers([Extent(0, 10)])
@@ -271,7 +266,7 @@ def test_clear_markers_walks_consecutive_runs(flat_volume):
 
 def test_clear_markers_on_unowned_cluster_is_invariant_violation(flat_volume):
     vol = flat_volume
-    vol.free.take(0, 0, 10)
+    vol.free.take(0, 10)
     vol.set_owner(0, 5, "x", 0)
     with pytest.raises(InvariantViolationError):
         vol.clear_markers([Extent(0, 10)])  # clusters 5.. carry no run
@@ -305,7 +300,7 @@ def test_rekey_owners_keeps_sequences_and_checks_the_key(flat_volume):
 )
 def test_deep_audit_catches_misplaced_runs(flat_volume, corruption, message):
     vol = flat_volume
-    vol.free.take(0, 0, 30)
+    vol.free.take(0, 30)
     vol.set_owner(0, 20, "x", 0)
     vol.set_owner(20, 10, "y", 0)
     vol.audit(deep=True)
