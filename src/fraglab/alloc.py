@@ -273,18 +273,25 @@ class LogAppendPolicy(AllocPolicy):
         Commits deferred frees first (the cleaner only reclaims committed
         space), moves every owner run and object record along with the data,
         and leaves the head at the start of the single remaining free run.
-        Returns the number of clusters relocated.
+        A run that continues the one now before it joins it, so the runs stay
+        one per extent of the records.  Returns the number of clusters relocated.
         """
         volume = store.volume
         store.checkpoint_now()
         moved = 0
         write_ptr = 0
+        start = -1   # offset of the last compacted run
         compacted: dict[int, tuple] = {}
         placements: dict = {}
         for offset, (length, key, seq) in sorted(volume.owners.items()):
             if offset != write_ptr:
                 moved += length
-            compacted[write_ptr] = (length, key, seq)
+            last = compacted.get(start)
+            if last is not None and last[1] == key and last[2] + last[0] == seq:
+                compacted[start] = (last[0] + length, key, last[2])
+            else:
+                start = write_ptr
+                compacted[start] = (length, key, seq)
             placements.setdefault(key, []).append((seq, write_ptr, length))
             write_ptr += length
         volume.owners = compacted

@@ -90,16 +90,20 @@ def run_experiment(config: ExperimentConfig, snapshot_on_abort: str | None = Non
     """Validate, bulk load, age to target; returns the report series.
 
     On a no-space abort during aging, optionally dumps a diagnostic
-    snapshot of the store before re-raising.
+    snapshot of the store before re-raising; a snapshot that cannot be
+    written is named in the no-space error, which stays the one raised.
     """
     config.validate()
     store = config.build()
     bulk_load(store, config.workload)
     try:
         return run_to_age(store, config.workload)
-    except NoSpaceError:
+    except NoSpaceError as exc:
         if snapshot_on_abort:
-            save_snapshot(store, snapshot_on_abort)
+            try:
+                save_snapshot(store, snapshot_on_abort)
+            except ConfigurationError as err:
+                raise NoSpaceError(f"{exc}; no snapshot: {err}", exc.requested, exc.available) from exc
         raise
 
 
@@ -112,9 +116,11 @@ def report_csv_row(report: FragReport, cell_key: str = "-") -> str:
 
 def _write_text(path: str, text: str) -> None:
     out = Path(path)
-    if out.parent != Path("."):
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+        out.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: str, rows: list[str]) -> None:

@@ -5,10 +5,10 @@ sized chunks (or allocates the whole object up front when a size hint is
 configured); an update writes a complete new copy and then atomically swaps
 it for the old one, so a full version of the object exists at every point.
 
-Every piece the allocation policy hands out is tagged on the volume with an
-owner run: (length, owner key, sequence number of its first cluster).  The
-layout scanner (scan_layout) rebuilds all object layouts from those runs
-alone, giving an independent check on the record-keeping.
+Every extent of an object's record is tagged on the volume with one owner
+run: (length, owner key, sequence number of its first cluster).  The layout
+scanner (scan_layout) rebuilds all object layouts from those runs alone,
+giving an independent check on the record-keeping.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .volume import Extent, Volume
 
 
 # the ObjectStore.to_state() format; from_state refuses every other version
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 def _coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
@@ -287,7 +287,8 @@ class ObjectStore:
         unallocated clusters, and this one leftover temp runs; per key, the
         runs in sequence order must then number the clusters 0, 1, 2, ... with
         no gap or repeat.  Each finding is a CorruptionError naming the
-        offending cluster.
+        offending cluster.  Each run is one extent, so runs split where the
+        records hold one extent show as a mismatch in verify_layout.
         """
         by_key: dict[Hashable, list[tuple[int, int, int]]] = {}
         for offset, (length, key, seq) in self.volume.owner_runs():
@@ -312,7 +313,7 @@ class ObjectStore:
                         cluster=offset,
                     )
                 expected = seq + length
-            layout[key] = _coalesce((offset, length) for _seq, offset, length in runs)
+            layout[key] = [Extent(offset, length) for _seq, offset, length in runs]
         return layout
 
     def verify_layout(self) -> None:
@@ -379,27 +380,27 @@ class ObjectStore:
         self.config.policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
 
     def _alloc_stream(self, key: Hashable, size_bytes: int) -> list[Extent]:
-        """Allocate an object's clusters, writing one owner run per piece.
+        """Allocate an object's clusters, then write one owner run per extent.
 
-        Appends chunk by chunk without a size hint; rolls every partial
-        allocation back (immediate frees, the data never existed durably)
-        if space runs out mid-way.
+        Appends chunk by chunk without a size hint; if space runs out mid-way,
+        frees every piece at once (the data never existed durably, and no run
+        was written yet).
         """
         volume = self.volume
         alloc = self.config.policy.alloc
         pieces: list[Extent] = []
-        seq = 0
         try:
             for need in self._append_plan(size_bytes):
-                for ext in alloc(volume, need):
-                    volume.set_owner(ext.offset, ext.length, key, seq)
-                    seq += ext.length
-                    pieces.append(ext)
+                pieces += alloc(volume, need)
         except NoSpaceError:
-            volume.clear_markers(pieces)
             volume.release(pieces, "immediate")
             raise
-        return _coalesce(pieces)
+        extents = _coalesce(pieces)
+        seq = 0
+        for ext in extents:
+            volume.set_owner(ext.offset, ext.length, key, seq)
+            seq += ext.length
+        return extents
 
     def _account_write(self, size_bytes: int, extents: list[Extent]) -> None:
         self._interval_bytes += size_bytes

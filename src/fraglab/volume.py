@@ -6,11 +6,12 @@ answers the allocation policies' queries, plus the deferred frees that become
 reusable only at the next checkpoint, mirroring allocators whose log entry
 must commit before freed space can be recycled.
 
-Allocated clusters are tagged by owner runs written by the object layer: each
-run covers a contiguous range of clusters and names its owner key and the
-sequence number of its first cluster, the rest following in order.  The
-layout scanner reconstructs object layouts from the runs without consulting
-any object records.
+Allocated clusters are tagged by owner runs written by the object layer, one
+per extent of an object: each run covers a contiguous range of clusters and
+names its owner key and the sequence number of its first cluster, the rest
+following in order.  Clearing or re-keying an extent takes exactly its run.
+The layout scanner reconstructs object layouts from the runs without
+consulting any object records.
 """
 
 from __future__ import annotations
@@ -389,9 +390,8 @@ class Volume:
     bands: list[Band]
     seek_time: float = default("volume.seek_time")   # per non-adjacent extent transition
     free: FreeExtentIndex = field(default_factory=FreeExtentIndex)
-    deferred: list[Extent] = field(default_factory=list)   # in the order they were staged
+    deferred: list[Extent] = field(default_factory=list)   # in offset order
     deferred_total: int = 0
-    _deferred_sorted: list[Extent] = field(default_factory=list, repr=False, compare=False)
     # first cluster of a run -> (length, owner key, sequence number of that cluster)
     owners: dict[int, tuple] = field(default_factory=dict)
 
@@ -435,13 +435,12 @@ class Volume:
             if mode == "immediate":
                 self.free.add(ext.offset, ext.length)
             else:
-                self.deferred.append(ext)
-                insort(self._deferred_sorted, ext)
+                insort(self.deferred, ext)
                 self.deferred_total += ext.length
 
     def _in_deferred(self, offset: int, end: int) -> bool:
         """Whether [offset, end) overlaps a deferred extent."""
-        staged = self._deferred_sorted
+        staged = self.deferred
         i = bisect_left(staged, (end,)) - 1
         return i >= 0 and staged[i].end > offset
 
@@ -450,7 +449,6 @@ class Volume:
         for ext in self.deferred:
             self.free.add(ext.offset, ext.length)
         self.deferred.clear()
-        self._deferred_sorted.clear()
         self.deferred_total = 0
 
     # -- owner runs ---------------------------------------------------------
@@ -461,43 +459,27 @@ class Volume:
             raise InvariantViolationError(f"cluster {offset} already starts an owner run")
         self.owners[offset] = (length, key, first_seq)
 
-    def _runs_covering(self, extents: Iterable[Extent]) -> Iterator[tuple[int, int, tuple]]:
-        """(offset, extent end, run) for each run covering the extents, in order.
-
-        Each extent must start where a run starts; the caller may replace or
-        drop the run it was handed before asking for the next.
-        """
-        for ext in extents:
-            pos = ext.offset
-            end = pos + ext.length
-            while pos < end:
-                run = self.owners.get(pos)
-                if run is None:
-                    raise InvariantViolationError(f"cluster {pos} starts no owner run")
-                yield pos, end, run
-                pos += run[0]
+    def _run_of(self, ext: Extent) -> tuple:
+        """The owner run of an extent: the one at its offset, which must have its length."""
+        run = self.owners.get(ext.offset)
+        if run is None or run[0] != ext.length:
+            raise InvariantViolationError(f"extent {tuple(ext)} is not one owner run")
+        return run
 
     def clear_markers(self, extents: Iterable[Extent]) -> None:
-        """Drop the owner runs covering each extent.
-
-        A run reaching past the extent's end is split there and keeps its tail.
-        """
-        owners = self.owners
-        for pos, end, (length, key, seq) in self._runs_covering(extents):
-            del owners[pos]
-            if pos + length > end:
-                owners[end] = (pos + length - end, key, seq + end - pos)
+        """Drop the owner run of each extent."""
+        for ext in extents:
+            self._run_of(ext)
+            del self.owners[ext.offset]
 
     def rekey_owners(self, extents: Iterable[Extent], old_key, new_key) -> None:
-        """Hand the runs covering each extent from old_key to new_key.
-
-        Sequence numbers stay as they are; a run owned by any other key, or
-        reaching past its extent, is an invariant breach.
-        """
-        for pos, end, (length, key, seq) in self._runs_covering(extents):
-            if key != old_key or pos + length > end:
-                raise InvariantViolationError(f"cluster {pos} does not start a run of {old_key!r}")
-            self.owners[pos] = (length, new_key, seq)
+        """Hand the owner run of each extent from old_key to new_key, keeping its sequence
+        number; a run owned by any other key is an invariant breach."""
+        for ext in extents:
+            _length, key, seq = self._run_of(ext)
+            if key != old_key:
+                raise InvariantViolationError(f"extent {tuple(ext)} is not a run of {old_key!r}")
+            self.owners[ext.offset] = (ext.length, new_key, seq)
 
     # -- cost model ---------------------------------------------------------
 
@@ -552,8 +534,8 @@ class Volume:
         deferred_recount = sum(e.length for e in self.deferred)
         if deferred_recount != self.deferred_total:
             raise InvariantViolationError("deferred total drifted from its extents")
-        if sorted(self.deferred) != self._deferred_sorted:
-            raise InvariantViolationError("deferred extents and their offset order disagree")
+        if self.deferred != sorted(self.deferred):
+            raise InvariantViolationError("deferred extents are out of offset order")
         owned = sum(run[0] for run in self.owners.values())
         if self.free.total_free + deferred_recount + owned != self.total_clusters:
             raise InvariantViolationError(

@@ -359,6 +359,30 @@ class TestCleaner:
         store.verify_layout()
         store.volume.audit()
 
+    def test_pieces_that_become_adjacent_join_into_one_run(self):
+        # first fit leaves x in two pieces around c, which dies before the clean;
+        # log_append itself splits an object only at a wrap, where its pieces fall
+        # in reverse address order and never join
+        vol = one_band_volume(40)
+        store = ObjectStore(vol, StoreConfig(policy=FirstFitPolicy(fragmenting=True), write_request_size=4096,
+                                             size_hint=True, checkpoint_every=100))
+        for oid in "abcd":
+            store.put_new(oid, 4096 * 10)
+        store.delete("b")
+        store.delete("d")
+        store.checkpoint_now()
+        store.delete("c")   # (20, 10) stays deferred
+        store.put_new("x", 4096 * 20)
+        assert vol.owners == {0: (10, "a", 0), 10: (10, "x", 0), 30: (10, "x", 10)}
+        state = store.to_state()
+        state["config"]["policy"] = {"kind": "log_append", "fragmenting": True, "params": {}}
+        store = ObjectStore.from_state(state)
+        assert clean_log(store) == 10
+        assert store.volume.owners == {0: (10, "a", 0), 10: (20, "x", 0)}
+        assert store.get("x")[0].extents == [Extent(10, 20)]
+        store.verify_layout()
+        store.volume.audit(deep=True)
+
     def test_cleaner_target_unreachable_raises(self):
         store = log_store(total=100)
         for i in range(10):

@@ -86,6 +86,9 @@ MALFORMED = {
         "pol=first_fit|seed=1 twice",
     ),
     "version_2_snapshot": (("scan",), json.dumps(v2_snapshot()), "version 2"),
+    # version 3 kept one owner run per allocated piece, not per extent
+    "version_3_snapshot": (("scan",), json.dumps(edit(snapshot_state(), lambda s: s.update(version=3))),
+                           "version 3"),
     "snapshot_without_free_runs": (
         ("scan",),
         json.dumps(edit(snapshot_state(), lambda s: s["volume"].pop("free"))),

@@ -8,6 +8,7 @@ from fraglab.errors import (
     InfeasibleSpecError,
     EXIT_CONFIG,
     EXIT_INVARIANT,
+    EXIT_NO_SPACE,
     EXIT_OK,
 )
 
@@ -191,6 +192,26 @@ class TestGrid:
             harness.ExperimentGrid.from_dict(doc)
 
 
+def no_space_doc():
+    """A near-full volume with uniform redraws: aging cannot hold two copies of a
+    large object and aborts with no space."""
+    return {
+        "volume": {"total_clusters": 512, "cluster_size": 4096},
+        "store": {
+            "policy": {"kind": "first_fit", "fragmenting": True},
+            "write_request_size": 64 * KB,
+            "size_hint": False,
+        },
+        "workload": {
+            "n_objects": 15,
+            "size_dist": {"kind": "uniform", "mean": 128 * KB, "half_width": 127 * KB},
+            "target_age": 50.0,
+            "seed": 1,
+            "measurement_ages": [],
+        },
+    }
+
+
 class TestCli:
     def test_run_and_validate_and_scan(self, tmp_path, capsys):
         config_path = tmp_path / "exp.json"
@@ -238,32 +259,32 @@ class TestCli:
         assert cli.main(["grid", str(path), "--parallel", "2"]) == EXIT_OK
         assert (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("command, make_doc, expected", [
+        ("run", lambda tmp_path: small_config_doc(), EXIT_CONFIG),
+        ("grid", small_grid_doc, EXIT_CONFIG),
+        # the abort's snapshot cannot be written either; the no-space exit stands
+        ("run", lambda tmp_path: no_space_doc(), EXIT_NO_SPACE),
+    ], ids=["run", "grid", "run_no_space"])
+    def test_unwritable_output_exits_with_one_line(self, command, make_doc, expected, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")   # a regular file where a directory is needed
+        doc = make_doc(tmp_path)
+        doc["outputs"] = {"csv": str(tmp_path / "afile" / "out.csv")}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main([command, str(path)]) == expected
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(tmp_path / "afile") in err
+
 
 def test_no_space_abort_dumps_snapshot(tmp_path):
-    # near-full volume with uniform redraws: aging eventually cannot hold
-    # two copies of a large object and must abort with a diagnostic snapshot
-    doc = {
-        "volume": {"total_clusters": 512, "cluster_size": 4096},
-        "store": {
-            "policy": {"kind": "first_fit", "fragmenting": True},
-            "write_request_size": 64 * KB,
-            "size_hint": False,
-        },
-        "workload": {
-            "n_objects": 15,
-            "size_dist": {"kind": "uniform", "mean": 128 * KB, "half_width": 127 * KB},
-            "target_age": 50.0,
-            "seed": 1,
-            "measurement_ages": [],
-        },
-        "outputs": {"csv": str(tmp_path / "abort.csv")},
-    }
-    import fraglab.errors as errors
-
+    doc = no_space_doc()
+    doc["outputs"] = {"csv": str(tmp_path / "abort.csv")}
     path = tmp_path / "abort.json"
     path.write_text(json.dumps(doc))
     code = cli.main(["run", str(path)])
-    if code == errors.EXIT_NO_SPACE:  # the intended path for this workload
+    if code == EXIT_NO_SPACE:  # the intended path for this workload
         snap = tmp_path / "abort.snapshot.json"
         assert snap.exists()
         clone = harness.load_snapshot(str(snap))
@@ -295,12 +316,12 @@ def _bulk_loaded_store():
 
 def test_snapshot_is_versioned_and_holds_owner_runs():
     state = _bulk_loaded_store().to_state()
-    assert state["version"] == 3
+    assert state["version"] == 4
     assert "markers" not in state["volume"]
     owners = state["volume"]["owners"]
     assert all(len(run) == 4 for run in owners)
-    # one run per piece: 40 objects of two 64 KiB appends each
-    assert len(owners) == 80
+    # one run per extent: 40 objects, each of two 64 KiB appends that land side by side
+    assert len(owners) == 40
     assert sum(length for _off, length, _key, _seq in owners) == 40 * 32
 
 

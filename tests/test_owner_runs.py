@@ -3,9 +3,10 @@
 A random sequence of puts, safe writes, deletes and checkpoints runs on a
 small volume, with no-space rollbacks and safe writes aborted at each
 protocol step and then recovered.  After every operation the owner runs,
-expanded cluster by cluster, must equal the reference marker map; between
-operations scan_layout() must equal the reference layout, the records must
-agree with it, and the deep audit must pass.
+expanded cluster by cluster, must equal the reference marker map, and they
+must be one run per extent of the records (and of an unfinished temp copy);
+between operations scan_layout() must equal the reference layout, the
+records must agree with it, and the deep audit must pass.
 """
 
 import pytest
@@ -57,8 +58,24 @@ def _abort_at(step):
     return hook
 
 
+def _record_runs(store):
+    """The owner runs the records call for: one per extent, sequence numbers from 0 per key."""
+    keyed = [(rec.id, rec.extents) for rec in store.records()]
+    txn = store._pending
+    if txn is not None and not txn.committed:
+        keyed.append((txn.temp_key, txn.new_extents))
+    runs = {}
+    for key, extents in keyed:
+        seq = 0
+        for ext in extents:
+            runs[ext.offset] = (ext.length, key, seq)
+            seq += ext.length
+    return runs
+
+
 def _check(store, model):
     assert expand_owner_runs(store.volume.owners) == model.markers
+    assert store.volume.owners == _record_runs(store)
     assert len(store.volume.owners) <= model.live_pieces
     if store._pending is None:
         assert store.scan_layout() == model.layout()

@@ -264,6 +264,16 @@ class TestScanner:
             store.scan_layout()
         assert err.value.cluster == off + 1
 
+    def test_verify_detects_a_run_split_inside_one_extent(self):
+        store = make_store(size_hint=True)
+        store.put_new("a", 4 * 4096)
+        owners = store.volume.owners
+        owners[0] = (1, "a", 0)
+        owners[1] = (3, "a", 1)   # numbered right, but two runs for one extent
+        assert store.scan_layout() == {"a": [Extent(0, 1), Extent(1, 3)]}
+        with pytest.raises(CorruptionError, match="records say"):
+            store.verify_layout()
+
     def test_scan_detects_duplicate_sequence(self):
         store = make_store(size_hint=True)
         store.put_new("a", 4 * 4096)
@@ -323,18 +333,21 @@ class TestScanner:
             store.scan_layout()
         assert err.value.cluster == 4
 
-    def test_one_owner_run_per_piece_at_any_size(self):
+    def test_one_owner_run_per_extent_at_any_size(self):
         store = make_store(total=1 << 16, size_hint=True)
         store.put_new("big", 64 * MB)
         assert store.volume.owners == {0: (16384, "big", 0)}
-        store.safe_write("big", 64 * MB)  # one piece re-keyed, one cleared
+        store.safe_write("big", 64 * MB)  # one run re-keyed, one cleared
         assert store.volume.owners == {16384: (16384, "big", 0)}
         assert store.scan_layout() == {"big": [Extent(16384, 16384)]}
-        unhinted = make_store(write_request_size=64 * KB)
-        unhinted.put_new("a", 256 * KB)  # four appends: four runs, one extent
-        assert unhinted.volume.owners == {0: (16, "a", 0), 16: (16, "a", 16),
-                                          32: (16, "a", 32), 48: (16, "a", 48)}
-        assert unhinted.scan_layout() == {"a": [Extent(0, 64)]}
+        unhinted = make_store(write_request_size=64 * KB, free_mode="immediate")
+        unhinted.put_new("a", 256 * KB)  # four appends side by side: one extent, one run
+        assert unhinted.volume.owners == {0: (64, "a", 0)}
+        unhinted.put_new("b", 64 * KB)
+        unhinted.delete("a")
+        unhinted.put_new("c", 320 * KB)  # five appends in two extents: two runs
+        assert unhinted.volume.owners == {0: (64, "c", 0), 64: (16, "b", 0), 80: (16, "c", 64)}
+        assert unhinted.scan_layout() == {"b": [Extent(64, 16)], "c": [Extent(0, 64), Extent(80, 16)]}
 
     def test_mixed_ops_storm_stays_scannable(self):
         store = make_store(total=8192, write_request_size=64 * KB)

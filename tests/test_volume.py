@@ -245,13 +245,14 @@ def test_volume_state_round_trip(flat_volume):
     assert clone.bands == vol.bands
 
 
-def test_clear_markers_splits_a_longer_run(flat_volume):
+def test_clear_markers_rejects_a_run_of_another_length(flat_volume):
     vol = flat_volume
     vol.free.take(0, 10)
     vol.set_owner(0, 10, "x", 0)
-    vol.clear_markers([Extent(0, 4)])
-    assert vol.owners == {4: (6, "x", 4)}
-    vol.clear_markers([Extent(4, 6)])
+    with pytest.raises(InvariantViolationError):
+        vol.clear_markers([Extent(0, 4)])   # the run reaches past the extent
+    assert vol.owners == {0: (10, "x", 0)}
+    vol.clear_markers([Extent(0, 10)])
     assert vol.owners == {}
 
 
@@ -260,7 +261,9 @@ def test_clear_markers_walks_consecutive_runs(flat_volume):
     vol.free.take(0, 10)
     vol.set_owner(0, 3, "x", 0)
     vol.set_owner(3, 7, "x", 3)
-    vol.clear_markers([Extent(0, 10)])
+    with pytest.raises(InvariantViolationError):
+        vol.clear_markers([Extent(0, 10)])  # one extent over two runs
+    vol.clear_markers([Extent(0, 3), Extent(3, 7)])
     assert vol.owners == {}
 
 
@@ -284,14 +287,16 @@ def test_set_owner_rejects_a_second_run_at_one_offset(flat_volume):
 def test_rekey_owners_keeps_sequences_and_checks_the_key(flat_volume):
     vol = flat_volume
     vol.set_owner(0, 3, "tmp", 0)
-    vol.set_owner(3, 2, "tmp", 3)
-    vol.set_owner(5, 2, "other", 0)
-    vol.rekey_owners([Extent(0, 5)], "tmp", "x")
-    assert vol.owners == {0: (3, "x", 0), 3: (2, "x", 3), 5: (2, "other", 0)}
+    vol.set_owner(5, 2, "tmp", 3)
+    vol.set_owner(7, 2, "other", 0)
+    vol.rekey_owners([Extent(0, 3), Extent(5, 2)], "tmp", "x")
+    assert vol.owners == {0: (3, "x", 0), 5: (2, "x", 3), 7: (2, "other", 0)}
     with pytest.raises(InvariantViolationError):
-        vol.rekey_owners([Extent(5, 2)], "tmp", "x")
+        vol.rekey_owners([Extent(7, 2)], "tmp", "x")
     with pytest.raises(InvariantViolationError):
         vol.rekey_owners([Extent(0, 2)], "x", "y")  # the run reaches past the extent
+    with pytest.raises(InvariantViolationError):
+        vol.rekey_owners([Extent(0, 7)], "x", "y")  # the extent reaches past the run
 
 
 @pytest.mark.parametrize(
