@@ -1,11 +1,11 @@
 """Pluggable allocation policies over a Volume.
 
 Every policy answers one question: given a request for k clusters, which
-extents come out of the free set?  Policies are strategies, not owners: they
-reach the volume's free set only through the queries of its FreeExtentIndex
-(the fits, which take what they find, the split plans, top(), run lookups and
-take()), and keep only the state their allocator needs (buddy's internal
-fragmentation, a run cache, a log head).
+extents come out of the free set?  Policies are strategies only: they reach
+the free set through its FreeExtentIndex queries (the fits, which take what
+they find, the split plans, top(), run lookups and take()), never touch owner
+runs or records (log_append's cleaner calls ObjectStore.compact), and keep
+only their allocator's state (buddy's internal fragmentation, a run cache, a log head).
 
 Common contracts:
   * returned extents are removed from the free set before returning, are
@@ -43,9 +43,6 @@ class AllocPolicy:
 
     def prepare(self, store: "ObjectStore", clusters: int) -> None:
         """Called by the store before it starts allocating an object."""
-
-    def note_checkpoint(self) -> None:
-        """Called by the store after deferred frees commit."""
 
     def check_volume(self, volume: Volume) -> None:
         """Called when a store is built; raises if the policy cannot run on the volume."""
@@ -220,7 +217,7 @@ class LogAppendPolicy(AllocPolicy):
     The head only advances through the contiguous free region in front of
     it, wrapping to cluster 0 when that region touches the end of the
     volume and the start is free.  It never threads through interior holes;
-    reclaiming those requires a cleaner pass (see clean).
+    reclaiming those requires a cleaner pass (see clean), which the store runs.
     """
 
     kind = "log_append"
@@ -268,38 +265,9 @@ class LogAppendPolicy(AllocPolicy):
             raise _no_space(store.volume, clusters)
 
     def clean(self, store: "ObjectStore") -> int:
-        """Compact all owner runs toward cluster 0, preserving address order.
-
-        Commits deferred frees first (the cleaner only reclaims committed
-        space), moves every owner run and object record along with the data,
-        and leaves the head at the start of the single remaining free run.
-        A run that continues the one now before it joins it, so the runs stay
-        one per extent of the records.  Returns the number of clusters relocated.
-        """
-        volume = store.volume
-        store.checkpoint_now()
-        moved = 0
-        write_ptr = 0
-        start = -1   # offset of the last compacted run
-        compacted: dict[int, tuple] = {}
-        placements: dict = {}
-        for offset, (length, key, seq) in sorted(volume.owners.items()):
-            if offset != write_ptr:
-                moved += length
-            last = compacted.get(start)
-            if last is not None and last[1] == key and last[2] + last[0] == seq:
-                compacted[start] = (last[0] + length, key, last[2])
-            else:
-                start = write_ptr
-                compacted[start] = (length, key, seq)
-            placements.setdefault(key, []).append((seq, write_ptr, length))
-            write_ptr += length
-        volume.owners = compacted
-        volume.free.clear()
-        if write_ptr < volume.total_clusters:
-            volume.free.add(write_ptr, volume.total_clusters - write_ptr)
-        store.rewrite_layout(placements)
-        self.head = write_ptr % volume.total_clusters
+        """Compact the store and put the head at its one free run; returns clusters relocated."""
+        moved = store.compact()
+        self.head = store.volume.allocated_clusters % store.volume.total_clusters
         self.clusters_moved += moved
         return moved
 

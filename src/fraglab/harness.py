@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -123,6 +124,15 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse, before any simulation, an output path that is a directory or under no writable one."""
+    for path in filter(None, paths):
+        ancestor = next(p for p in Path(path).parents if p.exists())   # mkdir would make the rest
+        if Path(path).is_dir() or not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise ConfigurationError(f"cannot write {path}: it is a directory,"
+                                     f" or {ancestor} is not a writable directory")
+
+
 def _write_csv(path: str, rows: list[str]) -> None:
     _write_text(path, "\n".join([CSV_HEADER, *rows]) + "\n")
 
@@ -137,6 +147,7 @@ def write_series(reports: list[FragReport], csv_path: str | None, json_path: str
 
 def run(config: ExperimentConfig) -> list[FragReport]:
     """CLI-facing run: writes outputs, snapshots the state on a no-space abort."""
+    _check_writable(config.csv_path, config.json_path)
     out = config.json_path or config.csv_path
     snapshot_path = str(Path(out).with_suffix(".snapshot.json")) if out else None
     reports = run_experiment(config, snapshot_on_abort=snapshot_path)
@@ -236,6 +247,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> dict:
     A failing cell is recorded in the summary and never aborts siblings.
     The merged CSV is identical for any worker count.
     """
+    _check_writable(grid.csv_path, grid.json_path)
     cells = grid.cells()
     if parallelism <= 1 or len(cells) <= 1:
         results = [_run_cell(c) for c in cells]

@@ -6,9 +6,9 @@ configured); an update writes a complete new copy and then atomically swaps
 it for the old one, so a full version of the object exists at every point.
 
 Every extent of an object's record is tagged on the volume with one owner
-run: (length, owner key, sequence number of its first cluster).  The layout
-scanner (scan_layout) rebuilds all object layouts from those runs alone,
-giving an independent check on the record-keeping.
+run, (length, owner key, sequence number of its first cluster), written only
+here, also when compact() slides the data toward cluster 0.  scan_layout
+rebuilds all layouts from the runs alone: an independent check on the records.
 """
 
 from __future__ import annotations
@@ -338,17 +338,29 @@ class ObjectStore:
     def checkpoint_now(self) -> None:
         """Commit deferred frees immediately, regardless of cadence."""
         self.volume.checkpoint()
-        self.config.policy.note_checkpoint()
         self._ops_since_checkpoint = 0
 
-    def rewrite_layout(self, placements: dict[Hashable, list[tuple[int, int, int]]]) -> None:
-        """Apply a cleaner's relocation map: (first_seq, offset, length) runs per object."""
-        for oid, runs in placements.items():
-            rec = self._records.get(oid)
-            if rec is None:
-                raise CorruptionError(f"cleaner moved clusters of unknown object {oid!r}")
-            runs.sort()
-            rec.extents = _coalesce((offset, length) for _seq, offset, length in runs)
+    def compact(self) -> int:
+        """Commit deferred frees and slide every extent and its owner run toward cluster 0 in address
+        order, as a log cleaner does, merging an object's extents that meet; returns clusters moved."""
+        if self._pending is not None:
+            raise UsageError("cannot compact with a replacement in flight")
+        self.checkpoint_now()
+        volume = self.volume
+        slid: dict[int, int] = {}   # old offset -> new offset of each extent
+        moved = top = 0
+        for offset, length in sorted(ext for rec in self._records.values() for ext in rec.extents):
+            slid[offset] = top
+            moved += length if offset != top else 0
+            top += length
+        for rec in self._records.values():
+            volume.clear_markers(rec.extents)
+        volume.free.clear()
+        if top < volume.total_clusters:
+            volume.free.add(top, volume.total_clusters - top)
+        for rec in self._records.values():
+            rec.extents = self._write_runs(rec.id, [(slid[e.offset], e.length) for e in rec.extents])
+        return moved
 
     def take_write_interval(self) -> tuple[int, float]:
         """Bytes written and modeled seconds since the last call."""
@@ -395,10 +407,14 @@ class ObjectStore:
         except NoSpaceError:
             volume.release(pieces, "immediate")
             raise
+        return self._write_runs(key, pieces)
+
+    def _write_runs(self, key: Hashable, pieces: Iterable[tuple[int, int]]) -> list[Extent]:
+        """Coalesce pieces, in logical order, into extents; write one owner run of key for each."""
         extents = _coalesce(pieces)
         seq = 0
         for ext in extents:
-            volume.set_owner(ext.offset, ext.length, key, seq)
+            self.volume.set_owner(ext.offset, ext.length, key, seq)
             seq += ext.length
         return extents
 

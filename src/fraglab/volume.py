@@ -1,10 +1,10 @@
 """The simulated disk: cluster space, free-run bookkeeping, and a banded cost model.
 
-A volume is an array of fixed-size clusters.  Free space is kept as a set of
-coalesced runs (no two free runs are ever adjacent) in a FreeExtentIndex that
-answers the allocation policies' queries, plus the deferred frees that become
-reusable only at the next checkpoint, mirroring allocators whose log entry
-must commit before freed space can be recycled.
+A volume is an array of fixed-size clusters.  Free space is a FreeExtentIndex
+of coalesced runs (no two ever adjacent) that answers the allocation policies'
+queries.  Deferred frees, reusable only after the next checkpoint as in
+allocators whose log entry must commit before freed space is recycled, are a
+second FreeExtentIndex that nothing allocates from.
 
 Allocated clusters are tagged by owner runs written by the object layer, one
 per extent of an object: each run covers a contiguous range of clusters and
@@ -16,6 +16,7 @@ consulting any object records.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
@@ -390,8 +391,7 @@ class Volume:
     bands: list[Band]
     seek_time: float = default("volume.seek_time")   # per non-adjacent extent transition
     free: FreeExtentIndex = field(default_factory=FreeExtentIndex)
-    deferred: list[Extent] = field(default_factory=list)   # in offset order
-    deferred_total: int = 0
+    deferred: FreeExtentIndex = field(default_factory=FreeExtentIndex)
     # first cluster of a run -> (length, owner key, sequence number of that cluster)
     owners: dict[int, tuple] = field(default_factory=dict)
 
@@ -405,11 +405,11 @@ class Volume:
 
     @property
     def deferred_clusters(self) -> int:
-        return self.deferred_total
+        return self.deferred.total_free
 
     @property
     def allocated_clusters(self) -> int:
-        return self.total_clusters - self.free.total_free - self.deferred_total
+        return self.total_clusters - self.free.total_free - self.deferred.total_free
 
     # -- allocation-side bookkeeping -------------------------------------
 
@@ -430,26 +430,15 @@ class Volume:
                 raise InvariantViolationError(f"release of malformed extent {ext}")
             if self.free.intersects(ext.offset, ext.length):
                 raise InvariantViolationError(f"release of non-allocated extent {ext}")
-            if self._in_deferred(ext.offset, ext.end):
+            if self.deferred.intersects(ext.offset, ext.length):
                 raise InvariantViolationError(f"release of deferred extent {ext}")
-            if mode == "immediate":
-                self.free.add(ext.offset, ext.length)
-            else:
-                insort(self.deferred, ext)
-                self.deferred_total += ext.length
-
-    def _in_deferred(self, offset: int, end: int) -> bool:
-        """Whether [offset, end) overlaps a deferred extent."""
-        staged = self.deferred
-        i = bisect_left(staged, (end,)) - 1
-        return i >= 0 and staged[i].end > offset
+            (self.free if mode == "immediate" else self.deferred).add(ext.offset, ext.length)
 
     def checkpoint(self) -> None:
-        """Commit: every deferred extent becomes reusable free space."""
-        for ext in self.deferred:
-            self.free.add(ext.offset, ext.length)
+        """Commit: every deferred run becomes reusable free space."""
+        for offset, length in self.deferred:
+            self.free.add(offset, length)
         self.deferred.clear()
-        self.deferred_total = 0
 
     # -- owner runs ---------------------------------------------------------
 
@@ -530,16 +519,14 @@ class Volume:
         hold clusters that are neither owned nor free).  deep=True also
         sweeps the owner runs (see owner_runs), in O(runs log runs).
         """
-        self.free.check()
-        deferred_recount = sum(e.length for e in self.deferred)
-        if deferred_recount != self.deferred_total:
-            raise InvariantViolationError("deferred total drifted from its extents")
-        if self.deferred != sorted(self.deferred):
-            raise InvariantViolationError("deferred extents are out of offset order")
+        for name, runs in (("free", self.free), ("deferred", self.deferred)):
+            runs.check()
+            if runs.intersects(self.total_clusters, sys.maxsize):
+                raise InvariantViolationError(f"a {name} run ends past the volume's last cluster")
         owned = sum(run[0] for run in self.owners.values())
-        if self.free.total_free + deferred_recount + owned != self.total_clusters:
+        if self.free_clusters + self.deferred_clusters + owned != self.total_clusters:
             raise InvariantViolationError(
-                f"conservation breach: free {self.free.total_free} + deferred {deferred_recount}"
+                f"conservation breach: free {self.free_clusters} + deferred {self.deferred_clusters}"
                 f" + allocated {owned} != {self.total_clusters}"
             )
         if deep:
@@ -567,7 +554,7 @@ class Volume:
                 h += 1
             if h < n_holes and holes[h][0] < end:
                 cluster = max(offset, holes[h][0])
-                where = "a deferred extent" if self._in_deferred(cluster, cluster + 1) else "the free set"
+                where = "a deferred extent" if self.deferred.intersects(cluster, 1) else "the free set"
                 raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
                                       f" it lies in {where}", cluster=cluster)
             prev_end = end
@@ -580,7 +567,7 @@ class Volume:
         return {
             **dump(self, "volume"),
             "free": [list(run) for run in self.free],
-            "deferred": [[e.offset, e.length] for e in self.deferred],
+            "deferred": [list(run) for run in self.deferred],
             "owners": [[off, length, key, seq] for off, (length, key, seq) in sorted(self.owners.items())],
         }
 
@@ -593,7 +580,7 @@ class Volume:
             vol.free.add(int(off), int(length))
         vol.release([Extent(int(o), int(n)) for o, n in state["deferred"]], "deferred")
         for off, length, key, seq in state["owners"]:
-            vol.owners[int(off)] = (int(length), key, int(seq))
+            vol.set_owner(int(off), int(length), key, int(seq))
         return vol
 
 

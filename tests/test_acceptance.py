@@ -244,7 +244,7 @@ def test_c8_deferred_isolation():
                 except NoSpaceError:
                     continue
                 for ext in got:
-                    for staged in volume.deferred:
+                    for staged in volume.deferred.runs():
                         assert not (staged.offset < ext.end and ext.offset < staged.end), (
                             f"sequence {seq}: allocated {ext} inside deferred {staged}"
                         )

@@ -448,7 +448,6 @@ def test_alloc_results_disjoint_and_sized(kind, requests, seed):
     for k in requests:
         if live and rng.random() < 0.4:
             vol.release(live.pop(rng.randrange(len(live))), "immediate")
-            policy.note_checkpoint()
         try:
             got = policy.alloc(vol, k)
         except NoSpaceError:

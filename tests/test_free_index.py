@@ -223,12 +223,14 @@ def apply(store, op, oid):
         store.delete(store.id_at(op[1] % store.live_count()))
     elif op[0] == "checkpoint":
         store.checkpoint_now()
+    elif op[0] == "compact":
+        return f"moved {store.compact()}"
     return "ok"
 
 
 def state(store):
     volume = store.volume
-    return (list(volume.free), volume.deferred, volume.owners,
+    return (list(volume.free), list(volume.deferred), volume.owners,
             [(rec.id, rec.extents) for rec in store.records()])
 
 

@@ -6,6 +6,7 @@ from fraglab import cli, harness
 from fraglab.errors import (
     ConfigurationError,
     InfeasibleSpecError,
+    NoSpaceError,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_NO_SPACE,
@@ -262,20 +263,63 @@ class TestCli:
     @pytest.mark.parametrize("command, make_doc, expected", [
         ("run", lambda tmp_path: small_config_doc(), EXIT_CONFIG),
         ("grid", small_grid_doc, EXIT_CONFIG),
-        # the abort's snapshot cannot be written either; the no-space exit stands
-        ("run", lambda tmp_path: no_space_doc(), EXIT_NO_SPACE),
+        # the path is refused before the bulk load, so the no-space abort is never reached
+        ("run", lambda tmp_path: no_space_doc(), EXIT_CONFIG),
     ], ids=["run", "grid", "run_no_space"])
-    def test_unwritable_output_exits_with_one_line(self, command, make_doc, expected, tmp_path, capsys):
+    def test_unwritable_output_exits_with_one_line(self, command, make_doc, expected, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(harness, "bulk_load", None)   # any simulation would fail to call it
         (tmp_path / "afile").write_text("")   # a regular file where a directory is needed
         doc = make_doc(tmp_path)
         doc["outputs"] = {"csv": str(tmp_path / "afile" / "out.csv")}
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.iterdir())
         capsys.readouterr()
         assert cli.main([command, str(path)]) == expected
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert str(tmp_path / "afile") in err
+        assert sorted(tmp_path.iterdir()) == before   # no output, snapshot or directory left
+
+    @pytest.mark.parametrize("command, make_doc", [
+        ("run", lambda tmp_path: small_config_doc()),
+        ("grid", small_grid_doc),
+    ], ids=["run", "grid"])
+    def test_output_path_that_is_a_directory_exits_2(self, command, make_doc, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "bulk_load", None)
+        doc = make_doc(tmp_path)
+        doc["outputs"] = {"json": str(tmp_path)}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main([command, str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: it is a directory")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda volume: volume["owners"].append(volume["owners"][0]),
+        lambda volume: volume["free"].append([5000, 10]),
+        lambda volume: volume["free"].pop(),
+    ], ids=["owner_row_repeated", "free_run_past_the_end", "last_free_run_dropped"])
+    def test_scan_refuses_a_mutated_aged_snapshot(self, mutate, tmp_path, capsys):
+        doc = small_config_doc()
+        doc["volume"]["total_clusters"] = 4096
+        config = harness.ExperimentConfig.from_dict(doc)
+        store = config.build()
+        from fraglab.workload import bulk_load, run_to_age
+
+        bulk_load(store, config.workload)
+        run_to_age(store, config.workload)
+        state = store.to_state()
+        assert state["volume"]["free"] and state["volume"]["total_clusters"] == 4096
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps(state))
+        assert cli.main(["scan", str(snap)]) == EXIT_OK
+        mutate(state["volume"])
+        snap.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli.main(["scan", str(snap)]) == EXIT_INVARIANT
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_no_space_abort_dumps_snapshot(tmp_path):
@@ -291,6 +335,13 @@ def test_no_space_abort_dumps_snapshot(tmp_path):
         clone.verify_layout()
     else:
         assert code == EXIT_OK  # workload survived; nothing to snapshot
+
+
+def test_abort_snapshot_that_cannot_be_written_is_named_in_the_no_space_error(tmp_path):
+    (tmp_path / "afile").write_text("")
+    config = harness.ExperimentConfig.from_dict(no_space_doc())
+    with pytest.raises(NoSpaceError, match="; no snapshot: cannot write .*afile"):
+        harness.run_experiment(config, snapshot_on_abort=str(tmp_path / "afile" / "abort.json"))
 
 
 def test_snapshot_persists_through_files(tmp_path):
@@ -340,3 +391,26 @@ def test_unversioned_snapshot_is_rejected_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "version" in err
+
+
+def test_fraglab_loads_only_the_standard_library():
+    """fraglab has no runtime dependency: in a fresh interpreter, importing it and
+    validating a bundled config loads only standard-library modules and fraglab's own."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    probe = (
+        "import json, sys\n"
+        "start = set(sys.modules)\n"   # what the interpreter and its site hooks loaded
+        "from fraglab import cli\n"
+        "assert cli.main(['validate', 'exact_fit']) == 0\n"
+        "print(json.dumps(sorted(set(sys.modules) - start)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src, "PATH": ""}).stdout
+    loaded = {name.split(".")[0] for name in json.loads(out.splitlines()[-1])}
+    # multiprocessing registers the main module a second time, as __mp_main__
+    foreign = loaded - set(sys.stdlib_module_names) - {"fraglab", "__mp_main__"}
+    assert not foreign, f"fraglab loaded modules outside the standard library: {sorted(foreign)}"

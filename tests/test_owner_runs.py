@@ -1,12 +1,14 @@
 """Owner runs against the per-cluster marker model they replaced.
 
-A random sequence of puts, safe writes, deletes and checkpoints runs on a
-small volume, with no-space rollbacks and safe writes aborted at each
-protocol step and then recovered.  After every operation the owner runs,
-expanded cluster by cluster, must equal the reference marker map, and they
-must be one run per extent of the records (and of an unfinished temp copy);
-between operations scan_layout() must equal the reference layout, the
-records must agree with it, and the deep audit must pass.
+A random sequence of puts, safe writes, deletes, checkpoints and compactions
+runs on a small volume, with no-space rollbacks and safe writes aborted at
+each protocol step and then recovered.  A compaction must move the clusters
+the model's slide-to-zero cleaner moves and leave one free run at the top.
+After every operation the owner runs, expanded cluster by cluster, must
+equal the reference marker map, and they must be one run per extent of the
+records (and of an unfinished temp copy); between operations scan_layout()
+must equal the reference layout, the records must agree with it, and the
+deep audit must pass.
 """
 
 import pytest
@@ -44,6 +46,7 @@ ops = st.lists(
                   st.sampled_from((None,) + SAFE_WRITE_STEPS)),
         st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
         st.tuples(st.just("checkpoint")),
+        st.tuples(st.just("compact")),
     ),
     min_size=15,
     max_size=60,
@@ -136,4 +139,10 @@ def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every,
             model.clear(oid)
         elif op[0] == "checkpoint":
             store.checkpoint_now()
+        elif op[0] == "compact":
+            live = sorted(model.markers)
+            assert store.compact() == sum(c != i for i, c in enumerate(live))
+            model.compact()
+            assert list(store.volume.free) == [(len(live), TOTAL - len(live))][:TOTAL - len(live)]
+            assert store.volume.deferred_clusters == 0
         _check(store, model)

@@ -129,7 +129,7 @@ class TestSafeWrite:
         store.put_new("a", 10 * 4096)
         old = list(store._records["a"].extents)
         store.safe_write("a", 10 * 4096)
-        assert store.volume.deferred == old  # not yet committed at cadence 10
+        assert list(store.volume.deferred.runs()) == old  # not yet committed at cadence 10
 
     @pytest.mark.parametrize("abort_step", SAFE_WRITE_STEPS)
     def test_abort_at_each_step_resolves_one_version(self, abort_step):
@@ -145,6 +145,8 @@ class TestSafeWrite:
         with pytest.raises(SimulatedAbortError):
             store.safe_write("a", 16 * 4096)
         store.step_hook = None
+        with pytest.raises(UsageError):
+            store.compact()   # a copy in flight has runs and pieces that no record holds
         store.recover()
         store.checkpoint_now()
         store.volume.audit(deep=True)

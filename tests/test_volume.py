@@ -15,7 +15,8 @@ from fraglab.volume import (
 def test_create_volume_one_free_run():
     vol = create_volume(100, 4096, [Band(0, 100, 60e6)])
     assert list(vol.free.runs()) == [Extent(0, 100)]
-    assert vol.deferred == []
+    assert list(vol.deferred) == []
+    assert vol.deferred_clusters == 0
     assert vol.owners == {}
 
 
@@ -62,7 +63,8 @@ class TestRelease:
         vol.release([Extent(10, 3)], "deferred")
         assert vol.free_clusters == 80
         assert not vol.free.intersects(10, 3)
-        assert vol.deferred == [Extent(10, 3)]
+        assert list(vol.deferred.runs()) == [Extent(10, 3)]
+        assert vol.deferred_clusters == 3
 
     def test_double_release_aborts(self, flat_volume):
         vol = flat_volume
@@ -78,6 +80,24 @@ class TestRelease:
         with pytest.raises(InvariantViolationError):
             vol.release([Extent(2, 2)], "deferred")
 
+    def test_deferred_runs_coalesce_and_commit_like_immediate_frees(self, flat_volume):
+        vol = flat_volume
+        twin = create_volume(100, 4096, [Band(0, 100, 60e6)])
+        extents = [Extent(4, 4), Extent(20, 5), Extent(0, 4), Extent(8, 2)]
+        for volume in (vol, twin):
+            volume.free.take(0, 30)
+        vol.release(extents, "deferred")
+        twin.release(extents, "immediate")
+        assert list(vol.deferred.runs()) == [Extent(0, 10), Extent(20, 5)]
+        assert vol.deferred_clusters == 15
+        with pytest.raises(InvariantViolationError, match="release of deferred extent"):
+            vol.release([Extent(9, 2)], "deferred")   # overlaps the end of the run (0, 10)
+        with pytest.raises(InvariantViolationError, match="release of deferred extent"):
+            vol.release([Extent(19, 2)], "immediate")   # overlaps the start of (20, 5)
+        vol.checkpoint()
+        assert list(vol.free) == list(twin.free) == [(0, 10), (20, 5), (30, 70)]
+        assert vol.deferred_clusters == 0
+
 
 class TestCheckpoint:
     def test_checkpoint_commits_deferred(self, flat_volume):
@@ -85,7 +105,8 @@ class TestCheckpoint:
         vol.free.take(0, 20)
         vol.release([Extent(10, 3)], "deferred")
         vol.checkpoint()
-        assert vol.deferred == []
+        assert list(vol.deferred) == []
+        assert vol.deferred_clusters == 0
         assert vol.free.intersects(10, 3)
 
     def test_checkpoint_empty_is_noop(self, flat_volume):
@@ -220,6 +241,20 @@ def test_audit_passes_on_consistent_state(flat_volume):
     vol.audit()
 
 
+@pytest.mark.parametrize("runs", ["free", "deferred"])
+def test_audit_refuses_a_run_past_the_end(flat_volume, runs):
+    vol = flat_volume
+    vol.free.take(0, 40)
+    vol.set_owner(0, 10, "x", 0)
+    vol.release([Extent(10, 30)], "deferred")
+    index = getattr(vol, runs)
+    [(offset, length)] = index
+    index.take(offset, length)
+    index.add(105 - length, length)   # 5 clusters past the end; the totals still add up
+    with pytest.raises(InvariantViolationError, match=f"a {runs} run ends past"):
+        vol.audit()
+
+
 def test_audit_catches_leak(flat_volume):
     vol = flat_volume
     vol.free.take(0, 10)  # allocated but never marked: a leak
@@ -232,15 +267,18 @@ def test_volume_state_round_trip(flat_volume):
 
     vol = flat_volume
     vol.free.take(0, 30)
-    vol.release([Extent(20, 5)], "deferred")
+    vol.release([Extent(20, 3), Extent(23, 2)], "deferred")
     vol.set_owner(0, 12, 7, 0)
     vol.set_owner(12, 8, 7, 12)
     vol.set_owner(25, 5, 8, 0)
     state = vol.to_state()
     assert state["owners"] == [[0, 12, 7, 0], [12, 8, 7, 12], [25, 5, 8, 0]]
+    assert state["deferred"] == [[20, 5]]
     clone = Volume.from_state(state)
     assert list(clone.free.runs()) == list(vol.free.runs())
-    assert clone.deferred == vol.deferred
+    assert list(clone.deferred) == list(vol.deferred)
+    state["deferred"] = [[20, 3], [23, 2]]   # uncoalesced, as an older writer left them
+    assert list(Volume.from_state(state).deferred) == [(20, 5)]
     assert clone.owners == vol.owners
     assert clone.bands == vol.bands
 
