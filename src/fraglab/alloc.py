@@ -8,9 +8,18 @@ runs or records (log_append's cleaner calls ObjectStore.compact), and keep
 only their allocator's state (buddy's internal fragmentation, a run cache, a log head).
 
 Common contracts:
+  * alloc(volume, k, count) serves count back-to-back requests of k clusters:
+    it returns exactly the coalesced pieces that count calls with count=1
+    would return, and leaves the free set, the deferred set and the policy's
+    state as they would; the fits serve all the requests one run can hold in
+    one index step, the other policies serve them one by one;
+  * if a request finds no space, the pieces the call has already taken go
+    back to the free set and the NoSpaceError is that request's own, with the
+    free count at that moment; the policy's state keeps what the requests
+    before it did;
   * returned extents are removed from the free set before returning, are
     pairwise disjoint, and are in the object's logical order;
-  * a policy with fragmenting=False either returns one extent or raises
+  * a policy with fragmenting=False gives each request one extent or raises
     (buddy's flag is fixed false, ntfs_like's and log_append's true);
   * ties are broken toward the lowest offset so runs replay identically.
 
@@ -25,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, NoSpaceError, UsageError
 from .schema import FIELDS, default, fixed_value
-from .volume import Extent, Volume
+from .volume import Extent, Volume, coalesce
 
 if TYPE_CHECKING:
     from .store import ObjectStore
@@ -38,7 +47,25 @@ class AllocPolicy:
     requires_deferred_free = False
     fragmenting = False
 
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
+    def alloc(self, volume: Volume, clusters: int, count: int = 1) -> list[Extent]:
+        """Serve count requests of clusters each (see the module's contracts)."""
+        if clusters < 1 or count < 1:
+            raise UsageError("allocation request must be >= 1 cluster, and its count >= 1")
+        pieces, served = self._serve(volume, clusters, count)
+        if served == count:
+            return pieces   # the pieces of one step never touch one another
+        try:
+            while served < count:
+                more, n = self._serve(volume, clusters, count - served)
+                pieces += more
+                served += n
+        except NoSpaceError:
+            volume.release(pieces, "immediate")
+            raise
+        return coalesce(pieces)
+
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+        """Serve the next 1..count requests; return their pieces and how many were served."""
         raise NotImplementedError
 
     def prepare(self, store: "ObjectStore", clusters: int) -> None:
@@ -46,10 +73,6 @@ class AllocPolicy:
 
     def check_volume(self, volume: Volume) -> None:
         """Called when a store is built; raises if the policy cannot run on the volume."""
-
-    def _check_request(self, clusters: int) -> None:
-        if clusters < 1:
-            raise UsageError("allocation request must be >= 1 cluster")
 
 
 def _take_plan(volume: Volume, plan: list[tuple[int, int]]) -> list[Extent]:
@@ -67,21 +90,22 @@ def _no_space(volume: Volume, clusters: int, why: str | None = None) -> NoSpaceE
 
 
 class FitPolicy(AllocPolicy):
-    """One run from the index's fit query, else (when fragmenting) the pieces of its split plan."""
+    """The requests one run holds, from the index's fit query; else (when fragmenting)
+    one request in the pieces of its split plan."""
 
     fit = plan = ""   # FreeExtentIndex method names
 
     def __init__(self, fragmenting: bool = False):
         self.fragmenting = fragmenting
 
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
-        self._check_request(clusters)
-        offset = getattr(volume.free, self.fit)(clusters)
-        if offset is not None:
-            return [Extent(offset, clusters)]
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+        got = getattr(volume.free, self.fit)(clusters, count)
+        if got is not None:
+            offset, n = got
+            return [Extent(offset, n * clusters)], n
         if not self.fragmenting or volume.free.total_free < clusters:
             raise _no_space(volume, clusters)
-        return _take_plan(volume, getattr(volume.free, self.plan)(clusters))
+        return _take_plan(volume, getattr(volume.free, self.plan)(clusters)), 1
 
 
 class FirstFitPolicy(FitPolicy):
@@ -97,7 +121,7 @@ class BestFitPolicy(FitPolicy):
 
 
 class WorstFitPolicy(FitPolicy):
-    """Largest run wins; included for the exact-fit experiment's third arm."""
+    """Largest run wins, one request at a time; included for the exact-fit experiment's third arm."""
 
     kind, fit, plan = "worst_fit", "worst_fit", "largest_first_plan"
 
@@ -125,15 +149,14 @@ class BuddyPolicy(AllocPolicy):
         if n & (n - 1):
             raise ConfigurationError("buddy policy needs a power-of-two volume size")
 
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
-        self._check_request(clusters)
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
         order = max((clusters - 1).bit_length(), self.min_order)
         block = 1 << order
         offset = volume.free.aligned_block(block)
         if offset is None:
             raise _no_space(volume, block, f"no free buddy block of {block} clusters")
         self.internal_frag_clusters += block - clusters
-        return [Extent(offset, block)]
+        return [Extent(offset, block)], 1
 
 
 class NtfsLikePolicy(AllocPolicy):
@@ -190,8 +213,7 @@ class NtfsLikePolicy(AllocPolicy):
             return min(outer, key=lambda entry: entry[0])
         return max(fits, key=lambda entry: (entry[1], -entry[0]), default=None)
 
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
-        self._check_request(clusters)
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
         self._validate_cache(volume)
         entry = self._pick(volume, clusters)
         if entry is None:
@@ -203,12 +225,12 @@ class NtfsLikePolicy(AllocPolicy):
             entry[1] -= clusters
             if entry[1] == 0:
                 self._cache.remove(entry)
-            return [Extent(entry[0] - clusters, clusters)]
+            return [Extent(entry[0] - clusters, clusters)], 1
         if volume.free.total_free < clusters:
             raise _no_space(volume, clusters)
         extents = _take_plan(volume, volume.free.largest_first_plan(clusters))
         self._refresh_cache(volume)
-        return extents
+        return extents, 1
 
 
 class LogAppendPolicy(AllocPolicy):
@@ -243,15 +265,14 @@ class LogAppendPolicy(AllocPolicy):
             return [(head, ahead), (0, clusters - ahead)]
         return None
 
-    def alloc(self, volume: Volume, clusters: int) -> list[Extent]:
-        self._check_request(clusters)
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
         plan = self._head_plan(volume, clusters)
         if plan is None:
             raise _no_space(volume, clusters, f"log head has no room for {clusters} clusters before"
                             " the next live extent; a cleaner pass is required")
         extents = _take_plan(volume, plan)
         self.head = extents[-1].end % volume.total_clusters
-        return extents
+        return extents, 1
 
     def prepare(self, store: "ObjectStore", clusters: int) -> None:
         """Make room at the head for a whole object before any of it is written."""

@@ -14,6 +14,8 @@ rebuilds all layouts from the runs alone: an independent check on the records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import sub
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .alloc import AllocPolicy, make_policy
@@ -26,25 +28,11 @@ from .errors import (
     UsageError,
 )
 from .schema import default, dump, parse
-from .volume import Extent, Volume
+from .volume import Extent, Volume, coalesce
 
 
 # the ObjectStore.to_state() format; from_state refuses every other version
 SNAPSHOT_VERSION = 4
-
-
-def _coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
-    """Merge (offset, length) pieces, in logical order, where one ends as the next begins."""
-    out: list[Extent] = []
-    prev_end = -1
-    for offset, length in pieces:
-        if offset == prev_end:
-            last = out[-1]
-            out[-1] = Extent(last.offset, last.length + length)
-        else:
-            out.append(Extent(offset, length))
-        prev_end = offset + length
-    return out
 
 
 @dataclass
@@ -371,22 +359,25 @@ class ObjectStore:
 
     # -- internals ------------------------------------------------------------
 
-    def _append_plan(self, size_bytes: int) -> list[int]:
-        """Cluster counts per allocation call for one object write."""
+    def _append_plan(self, size_bytes: int) -> list[tuple[int, int]]:
+        """(clusters, count) groups of equal write requests for one object write, in order.
+
+        Request i writes bytes up to min(i * write_request_size, size) and allocates
+        the clusters that takes beyond those of the requests before it; a size hint
+        makes the whole object one request.
+        """
         cs = self.volume.cluster_size
         total = -(-size_bytes // cs)
         if self.config.size_hint:
-            return [total]
-        plan = []
-        allocated = 0
-        written = 0
-        while written < size_bytes:
-            written = min(written + self.config.write_request_size, size_bytes)
-            need = -(-written // cs)
-            if need > allocated:
-                plan.append(need - allocated)
-                allocated = need
-        return plan
+            return [(total, 1)]
+        request = self.config.write_request_size
+        if request % cs:   # requests end inside clusters: their cluster counts vary, and may be 0
+            ends = [-(-min(i * request, size_bytes) // cs) for i in range(1, -(-size_bytes // request) + 1)]
+            return [(k, len(list(group))) for k, group in groupby(map(sub, ends, [0] + ends[:-1])) if k]
+        per_request = request // cs
+        full, tail = divmod(total, per_request)
+        plan = [(per_request, full)] if full else []
+        return plan + [(tail, 1)] if tail else plan
 
     def _prepare(self, size_bytes: int) -> None:
         self.config.policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
@@ -394,16 +385,17 @@ class ObjectStore:
     def _alloc_stream(self, key: Hashable, size_bytes: int) -> list[Extent]:
         """Allocate an object's clusters, then write one owner run per extent.
 
-        Appends chunk by chunk without a size hint; if space runs out mid-way,
-        frees every piece at once (the data never existed durably, and no run
+        One policy call per group of equal write requests; if space runs out
+        mid-way, the policy has given back its call's pieces and this frees
+        the earlier calls' at once (the data never existed durably, and no run
         was written yet).
         """
         volume = self.volume
         alloc = self.config.policy.alloc
         pieces: list[Extent] = []
         try:
-            for need in self._append_plan(size_bytes):
-                pieces += alloc(volume, need)
+            for clusters, count in self._append_plan(size_bytes):
+                pieces += alloc(volume, clusters, count)
         except NoSpaceError:
             volume.release(pieces, "immediate")
             raise
@@ -411,7 +403,7 @@ class ObjectStore:
 
     def _write_runs(self, key: Hashable, pieces: Iterable[tuple[int, int]]) -> list[Extent]:
         """Coalesce pieces, in logical order, into extents; write one owner run of key for each."""
-        extents = _coalesce(pieces)
+        extents = coalesce(pieces)
         seq = 0
         for ext in extents:
             self.volume.set_owner(ext.offset, ext.length, key, seq)

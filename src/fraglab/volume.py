@@ -79,6 +79,20 @@ def _validate_bands(bands: list[Band], total_clusters: int) -> None:
         raise ConfigurationError("last band must end at the last cluster")
 
 
+def coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
+    """Merge (offset, length) pieces, in logical order, where one ends as the next begins."""
+    out: list[Extent] = []
+    prev_end = -1
+    for offset, length in pieces:
+        if offset == prev_end:
+            last = out[-1]
+            out[-1] = Extent(last.offset, last.length + length)
+        else:
+            out.append(Extent(offset, length))
+        prev_end = offset + length
+    return out
+
+
 def _cover(runs: Iterable[tuple[int, int]], k: int) -> list[tuple[int, int]]:
     """(offset, length) pieces of the runs, in their order, that add up to k clusters."""
     plan = []
@@ -153,8 +167,10 @@ class FreeExtentIndex:
     the same kind of chunks, for best fit, worst fit and top(), built on
     first use, so first fit never pays for it; until then best fit scans a
     lone chunk, which is cheaper while a bulk load carves up one run.
-    The fits and aligned_block take what they find and return its offset, or
-    None; ties go to the lowest offset.  Only they, add() and take() mutate.
+    The fits serve up to `count` requests of k clusters each and return
+    (offset, requests served), aligned_block returns the offset it took; both
+    give None when nothing fits, and ties go to the lowest offset.  Only they,
+    add() and take() mutate.
     """
 
     __slots__ = ("_offs", "_lens", "_firsts", "_maxes", "_sizes", "total_free")
@@ -205,36 +221,40 @@ class FreeExtentIndex:
 
     # -- queries that take what they find -------------------------------------------
 
-    def first_fit(self, k: int) -> int | None:
-        """Take k clusters off the front of the lowest-offset run that holds them."""
+    def first_fit(self, k: int, count: int = 1) -> tuple[int, int] | None:
+        """Take n = min(count, length // k) requests of k clusters off the lowest-offset run
+        that holds k; (offset, n), or None.  Every run before it stays shorter than k, so the
+        run stays first fit for each next request while what is left of it holds k."""
         for ci, longest in enumerate(self._maxes):
             if longest >= k:
                 lens = self._lens[ci]
                 j = 0
                 while lens[j] < k:
                     j += 1
-                return self._take_front(ci, j, k)
+                return self._take_front(ci, j, k, count)
         return None
 
-    def best_fit(self, k: int) -> int | None:
-        """Take k clusters off the front of the shortest run that holds them."""
+    def best_fit(self, k: int, count: int = 1) -> tuple[int, int] | None:
+        """As first_fit, from the shortest run that holds k (ties to the lowest offset): what
+        is left of it stays that run, since no other run is at least k and shorter than it was."""
         if self._sizes is None and len(self._maxes) == 1:   # one chunk, as in a bulk load: scan it
             lens = self._lens[0]
             best = None
             for j, length in enumerate(lens):
                 if k <= length and (best is None or length < lens[best]):
                     best = j
-            return None if best is None else self._take_front(0, best, k)
+            return None if best is None else self._take_front(0, best, k, count)
         pair = self._by_size().ceiling((k, -1))
-        return None if pair is None else self._take_front(*self._before(pair[1])[:2], k)
+        return None if pair is None else self._take_front(*self._before(pair[1])[:2], k, count)
 
-    def worst_fit(self, k: int) -> int | None:
-        """Take k clusters off the front of the longest run, if it holds them."""
+    def worst_fit(self, k: int, count: int = 1) -> tuple[int, int] | None:
+        """Take k clusters off the front of the longest run, if it holds them; (offset, 1).
+        One request whatever count asks: the shortened run may no longer be the longest."""
         sizes = self._by_size()
         longest = next(reversed(sizes), None)
         if longest is None or longest[0] < k:
             return None
-        return self._take_front(*self._before(sizes.ceiling((longest[0], -1))[1])[:2], k)
+        return self._take_front(*self._before(sizes.ceiling((longest[0], -1))[1])[:2], k, 1)
 
     def aligned_block(self, block: int) -> int | None:
         """Take the lowest free block of `block` clusters that starts at a multiple of block."""
@@ -299,25 +319,30 @@ class FreeExtentIndex:
         self.total_free -= length
         return offset
 
-    def _take_front(self, ci: int, j: int, k: int) -> int:
-        """Take k clusters off the front of the run at (ci, j); return its offset."""
+    def _take_front(self, ci: int, j: int, k: int, count: int) -> tuple[int, int]:
+        """Take n = min(count, length // k) requests of k clusters off the front of the run
+        at (ci, j), which holds one at least; return (its offset, n)."""
         offs = self._offs[ci]
         lens = self._lens[ci]
         offset = offs[j]
         length = lens[j]
-        if length == k:
+        n = length // k
+        if n > count:
+            n = count
+        taken = n * k
+        if length == taken:
             self._splice(ci, j, 1, ())
         else:   # the fits' hot path: shrink the run in place
-            offs[j] = offset + k
-            lens[j] = length - k
+            offs[j] = offset + taken
+            lens[j] = length - taken
             if j == 0:
-                self._firsts[ci] = offset + k
+                self._firsts[ci] = offset + taken
             if length == self._maxes[ci]:
                 self._maxes[ci] = max(lens)
             if self._sizes is not None:   # the shorter run moves down the size order
-                self._resize(((length, offset),), ((length - k, offset + k),))
-        self.total_free -= k
-        return offset
+                self._resize(((length, offset),), ((length - taken, offset + taken),))
+        self.total_free -= taken
+        return offset, n
 
     def _splice(self, ci: int, j: int, removed: int, pieces) -> None:
         """Put the (offset, length) pieces in place of `removed` (0 or 1) runs at (ci, j)."""
@@ -575,6 +600,11 @@ class Volume:
     def from_state(cls, state: dict) -> "Volume":
         runs = ("free", "deferred", "owners")
         vol = create_volume(**parse({k: v for k, v in state.items() if k not in runs}, "volume"))
+        for name in runs[:2]:
+            for off, length in state[name]:
+                if not 0 <= int(off) < int(off) + int(length) <= vol.total_clusters:
+                    raise ConfigurationError(f"snapshot {name} run [{off}, {length}] lies outside"
+                                             f" the volume's {vol.total_clusters} clusters")
         vol.free.clear()
         for off, length in state["free"]:
             vol.free.add(int(off), int(length))

@@ -1,11 +1,14 @@
-"""The linear allocators that the free-run index replaced, kept as oracles.
+"""The linear allocators that the free-run index replaced, and the store's
+one-call-per-write-request append plan that batching replaced, kept as oracles.
 
 LinearFreeIndex is the old free set: coalesced runs in two parallel lists
 sorted by offset.  The Linear*Policy classes keep the old policy bodies,
-which scan those lists front to back.  linear_volume() builds a volume
-whose free set is a LinearFreeIndex, so a store over it allocates exactly
-as fraglab did before the index; tests/test_free_index.py checks that the
-indexed policies still agree with these, extent for extent.
+which scan those lists front to back and serve one request per call.
+linear_volume() builds a volume whose free set is a LinearFreeIndex, and a
+PerRequestStore calls its policy once per write request, so the two together
+allocate exactly as fraglab did before the index and before batched appends;
+tests/test_free_index.py checks that the indexed, batched policies still
+agree with these, extent for extent.
 """
 
 from bisect import bisect_right
@@ -20,8 +23,42 @@ from fraglab.alloc import (
     WorstFitPolicy,
     _no_space,
 )
-from fraglab.errors import InvariantViolationError, NoSpaceError
+from fraglab.errors import InvariantViolationError, NoSpaceError, UsageError
+from fraglab.store import ObjectStore
 from fraglab.volume import Extent, create_volume
+
+
+def per_request_plan(size_bytes, cluster_size, write_request_size, size_hint):
+    """The clusters each write request of one object allocates, request by request."""
+    total = -(-size_bytes // cluster_size)
+    if size_hint:
+        return [total]
+    plan = []
+    allocated = 0
+    written = 0
+    while written < size_bytes:
+        written = min(written + write_request_size, size_bytes)
+        need = -(-written // cluster_size)
+        if need > allocated:
+            plan.append(need - allocated)
+            allocated = need
+    return plan
+
+
+class PerRequestStore(ObjectStore):
+    """An ObjectStore that makes one policy call per write request."""
+
+    def _append_plan(self, size_bytes):
+        config = self.config
+        return [(k, 1) for k in per_request_plan(size_bytes, self.volume.cluster_size,
+                                                 config.write_request_size, config.size_hint)]
+
+
+def _check_request(clusters, count):
+    if count != 1:
+        raise AssertionError("a linear oracle serves one request per call")
+    if clusters < 1:
+        raise UsageError("allocation request must be >= 1 cluster")
 
 
 class LinearFreeIndex:
@@ -144,8 +181,8 @@ def _fragment_plan_by_size(volume, clusters):
 
 
 class LinearFirstFitPolicy(FirstFitPolicy):
-    def alloc(self, volume, clusters):
-        self._check_request(clusters)
+    def alloc(self, volume, clusters, count=1):
+        _check_request(clusters, count)
         lengths = volume.free.lengths
         offsets = volume.free.offsets
         for i, length in enumerate(lengths):
@@ -167,8 +204,8 @@ class LinearFirstFitPolicy(FirstFitPolicy):
 
 
 class LinearBestFitPolicy(BestFitPolicy):
-    def alloc(self, volume, clusters):
-        self._check_request(clusters)
+    def alloc(self, volume, clusters, count=1):
+        _check_request(clusters, count)
         best_i = -1
         best_len = 0
         for i, length in enumerate(volume.free.lengths):
@@ -186,8 +223,8 @@ class LinearBestFitPolicy(BestFitPolicy):
 
 
 class LinearWorstFitPolicy(WorstFitPolicy):
-    def alloc(self, volume, clusters):
-        self._check_request(clusters)
+    def alloc(self, volume, clusters, count=1):
+        _check_request(clusters, count)
         worst_i = -1
         worst_len = 0
         for i, length in enumerate(volume.free.lengths):
@@ -203,8 +240,8 @@ class LinearWorstFitPolicy(WorstFitPolicy):
 
 
 class LinearBuddyPolicy(BuddyPolicy):
-    def alloc(self, volume, clusters):
-        self._check_request(clusters)
+    def alloc(self, volume, clusters, count=1):
+        _check_request(clusters, count)
         order = max((clusters - 1).bit_length(), self.min_order)
         block = 1 << order
         if block > volume.total_clusters:
@@ -267,8 +304,8 @@ class LinearNtfsLikePolicy(NtfsLikePolicy):
             return None
         return self._take_from_entry(volume, best, clusters)
 
-    def alloc(self, volume, clusters):
-        self._check_request(clusters)
+    def alloc(self, volume, clusters, count=1):
+        _check_request(clusters, count)
         hit = self._stage1(volume, clusters) or self._stage2(volume, clusters)
         if hit is None:
             self._refresh_cache(volume)
@@ -309,8 +346,8 @@ class LinearLogAppendPolicy(LogAppendPolicy):
                 return plan
         return None
 
-    def alloc(self, volume, clusters):
-        self._check_request(clusters)
+    def alloc(self, volume, clusters, count=1):
+        _check_request(clusters, count)
         plan = self._head_plan(volume, clusters)
         if plan is None:
             raise NoSpaceError(f"log head has no room for {clusters} clusters",

@@ -94,6 +94,16 @@ MALFORMED = {
         json.dumps(edit(snapshot_state(), lambda s: s["volume"].pop("free"))),
         "malformed snapshot",
     ),
+    "snapshot_free_run_past_the_end": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["free"].append([5000, 10]))),
+        "snapshot free run [5000, 10] lies outside the volume's 2048 clusters",
+    ),
+    "snapshot_deferred_run_past_the_end": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["deferred"].append([2040, 10]))),
+        "snapshot deferred run [2040, 10] lies outside the volume's 2048 clusters",
+    ),
     "snapshot_config_typo": (
         ("scan",),
         json.dumps(edit(snapshot_state(), lambda s: s["config"].update(free_mod="immediate"))),

@@ -1,11 +1,13 @@
-"""The free-run index against a plain sorted list, and the indexed policies
-against the linear ones they replaced (tests/linear_alloc.py).
+"""The free-run index against a plain sorted list, and the indexed, batched
+policies against the linear, one-request-per-call ones they replaced
+(tests/linear_alloc.py).
 
 The index keeps its runs in chunks; tests that need many chunks on a small
 volume shrink the chunk size, so that chunk splits, chunk deletions and
 merges across a chunk boundary happen within a few dozen operations.
 """
 
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -16,8 +18,8 @@ from fraglab import volume as volume_module
 from fraglab.alloc import make_policy
 from fraglab.errors import InvariantViolationError, NoSpaceError, SimulatedAbortError
 from fraglab.store import ObjectStore, StoreConfig
-from fraglab.volume import Band, FreeExtentIndex, create_volume
-from linear_alloc import LINEAR_POLICIES, linear_volume
+from fraglab.volume import Band, FreeExtentIndex, coalesce, create_volume
+from linear_alloc import LINEAR_POLICIES, PerRequestStore, linear_volume
 from test_owner_runs import CLUSTER, TOTAL, _abort_at, ops
 
 # -- the index against a sorted list -------------------------------------------
@@ -67,11 +69,13 @@ def expected(name, runs, arg):
     raise AssertionError(name)
 
 
-TAKES = ("first_fit", "best_fit", "worst_fit", "aligned_block")
+FITS = ("first_fit", "best_fit", "worst_fit")
 index_ops = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(("add", "add", "take")), st.integers(0, N - 1), st.integers(1, 24)),
-        st.tuples(st.sampled_from(TAKES + ("address_plan", "largest_first_plan")),
+        # a fit serves up to count requests of k clusters
+        st.tuples(st.sampled_from(FITS), st.integers(1, 40), st.integers(1, 8)),
+        st.tuples(st.sampled_from(("aligned_block", "address_plan", "largest_first_plan")),
                   st.integers(1, 40)),
         st.tuples(st.just("top"), st.integers(1, 40)),
         st.tuples(st.just("probe"), st.integers(0, N - 1), st.integers(1, 24)),
@@ -119,9 +123,21 @@ def run_index_ops(seed_runs, steps):
             n = min(op[2], run.end - op[1])
             index.take(op[1], n)
             free[op[1]:op[1] + n] = [False] * n
-        elif name in TAKES:
+        elif name in FITS:
+            # single requests on the model, for as long as each lands right after the last
+            # (in what is left of the same run); worst fit serves one request per call
+            k, count = op[1], op[2] if name != "worst_fit" else 1
+            served = []
+            while len(served) < count:
+                want = expected(name, model_runs(free), k)
+                if want is None or (served and want != served[-1] + k):
+                    break
+                served.append(want)
+                free[want:want + k] = [False] * k
+            assert getattr(index, name)(k, op[2]) == ((served[0], len(served)) if served else None), op
+        elif name == "aligned_block":
             want = expected(name, runs, op[1])
-            assert getattr(index, name)(op[1]) == want, name
+            assert index.aligned_block(op[1]) == want
             if want is not None:
                 free[want:want + op[1]] = [False] * op[1]
         elif name == "top":
@@ -167,97 +183,110 @@ def test_chunks_split_delete_and_merge_across_boundaries():
     assert len(index._firsts) == chunks - 1
     index.check()
     lowest = index._firsts[0]
-    assert index.best_fit(3) is None and index.first_fit(1) == lowest
+    assert index.best_fit(3) is None and index.first_fit(1, 5) == (lowest, 1)
     index.check()
 
 
 # -- the policies against the linear oracles -------------------------------------
 
+# ntfs_like refuses immediate frees, so it runs deferred only
 CONFIGS = [(kind, mode) for kind in LINEAR_POLICIES for mode in ("deferred", "immediate")
            if not (kind == "ntfs_like" and mode == "immediate")]
+# a write request of one cluster, of several, and one that ends inside a cluster
+REQUEST_SIZES = (CLUSTER, 4 * CLUSTER, 6 * 1024)
 
 
-def build(kind, free_mode, make_volume, policies, total, wrs, checkpoint_every):
+def build(kind, free_mode, oracle, total, wrs, checkpoint_every):
+    """A batched store over the index, or (oracle) a per-request store over the linear policies."""
+    make_volume, store_class = (linear_volume, PerRequestStore) if oracle else (create_volume, ObjectStore)
     volume = make_volume(total, CLUSTER, [Band(0, total // 4, 60e6), Band(total // 4, total, 30e6)])
     # every kind fragments where it can; buddy never does
     fragmenting = kind != "buddy"
-    policy = policies[kind]() if policies else make_policy(kind, fragmenting)
+    policy = LINEAR_POLICIES[kind]() if oracle else make_policy(kind, fragmenting)
     policy.fragmenting = fragmenting
-    return ObjectStore(volume, StoreConfig(policy=policy, write_request_size=wrs,
+    return store_class(volume, StoreConfig(policy=policy, write_request_size=wrs,
                                            free_mode=free_mode, checkpoint_every=checkpoint_every))
 
 
 def recorded(store):
-    """Log every extent list the store's policy returns."""
+    """Log each call to the store's policy that returns: (clusters, count, extents)."""
     log = []
     inner = store.config.policy.alloc
 
-    def alloc(volume, clusters):
-        out = inner(volume, clusters)
-        log.append(out)
+    def alloc(volume, clusters, count=1):
+        out = inner(volume, clusters, count)
+        log.append((clusters, count, out))
         return out
 
     store.config.policy.alloc = alloc
     return log
 
 
+def served(log):
+    """A call log as the requests served, one by one, and the coalesced extents they got."""
+    return ([clusters for clusters, count, _out in log for _ in range(count)],
+            coalesce(chain.from_iterable(out for _clusters, _count, out in log)))
+
+
 def apply(store, op, oid):
     """One op of test_owner_runs' generator; returns its outcome."""
-    if op[0] == "put":
-        try:
+    try:
+        if op[0] == "put":
             store.put_new(oid, op[1])
-        except NoSpaceError:
-            return "no space"
-    elif op[0] == "safe_write" and store.live_count():
-        store.step_hook = _abort_at(op[3]) if op[3] else None
-        try:
-            store.safe_write(store.id_at(op[1] % store.live_count()), op[2])
-        except NoSpaceError:
-            return "no space"
-        except SimulatedAbortError:
-            store.recover()
-            return "aborted"
-        finally:
-            store.step_hook = None
-    elif op[0] == "delete" and store.live_count():
-        store.delete(store.id_at(op[1] % store.live_count()))
-    elif op[0] == "checkpoint":
-        store.checkpoint_now()
-    elif op[0] == "compact":
-        return f"moved {store.compact()}"
+        elif op[0] == "safe_write" and store.live_count():
+            store.step_hook = _abort_at(op[3]) if op[3] else None
+            try:
+                store.safe_write(store.id_at(op[1] % store.live_count()), op[2])
+            except SimulatedAbortError:
+                store.recover()
+                return "aborted"
+            finally:
+                store.step_hook = None
+        elif op[0] == "delete" and store.live_count():
+            store.delete(store.id_at(op[1] % store.live_count()))
+        elif op[0] == "checkpoint":
+            store.checkpoint_now()
+        elif op[0] == "compact":
+            return f"moved {store.compact()}"
+    except NoSpaceError as err:
+        return f"no space: {err} (requested {err.requested}, available {err.available})"
     return "ok"
 
 
 def state(store):
+    """Free and deferred runs, owner runs, records and the policy's own state."""
     volume = store.volume
+    policy = {name: value for name, value in vars(store.config.policy).items() if name != "alloc"}
     return (list(volume.free), list(volume.deferred), volume.owners,
-            [(rec.id, rec.extents) for rec in store.records()])
+            [(rec.id, rec.size, rec.generation, rec.extents) for rec in store.records()], policy)
 
 
 @pytest.mark.parametrize("kind, free_mode", CONFIGS)
 @settings(max_examples=20, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
-@given(ops=ops)
-def test_policies_match_linear_oracles(kind, free_mode, ops):
+@given(ops=ops, wrs=st.sampled_from(REQUEST_SIZES))
+def test_policies_match_linear_oracles(kind, free_mode, ops, wrs):
     with mock.patch.object(volume_module, "CHUNK", 2):
-        stores = [build(kind, free_mode, make, policies, TOTAL, 4 * CLUSTER, 3)
-                  for make, policies in ((create_volume, None), (linear_volume, LINEAR_POLICIES))]
+        stores = [build(kind, free_mode, oracle, TOTAL, wrs, 3) for oracle in (False, True)]
         logs = [recorded(store) for store in stores]
         for oid, op in enumerate(ops):
+            for log in logs:
+                log.clear()
             outcomes = [apply(store, op, oid) for store in stores]
             assert outcomes[0] == outcomes[1], op
-            assert logs[0] == logs[1], op
+            if not outcomes[0].startswith("no space"):   # else the oracle logs the requests before the failing one
+                assert served(logs[0]) == served(logs[1]), op
             assert state(stores[0]) == state(stores[1]), op
             stores[0].volume.audit(deep=True)
 
 
 @pytest.mark.parametrize("kind, free_mode", CONFIGS)
 def test_long_mixed_runs_match_linear_oracles(kind, free_mode):
-    """Thousands of ops at the default chunk size, with hundreds of free runs."""
+    """Thousands of ops at the default chunk size, with hundreds of free runs, one cluster per request."""
     ends = []
-    for make, policies in ((create_volume, None), (linear_volume, LINEAR_POLICIES)):
-        store = build(kind, free_mode, make, policies, 4096, CLUSTER, 4)
+    for oracle in (False, True):
+        store = build(kind, free_mode, oracle, 4096, CLUSTER, 4)
         log = recorded(store)
         drive_mixed_ops(store, seed=5, n_ops=800, size_range=(CLUSTER, 12 * CLUSTER), scan_every=0)
-        ends.append((log, state(store)))
+        ends.append((served(log), state(store)))
     assert ends[0] == ends[1]
-    assert max(len(extents) for extents in ends[0][0]) >= 1
+    assert len(ends[0][0][0]) > 800

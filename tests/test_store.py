@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import drive_mixed_ops
-from fraglab.alloc import BestFitPolicy, FirstFitPolicy, NtfsLikePolicy
+from fraglab.alloc import BestFitPolicy, FirstFitPolicy, NtfsLikePolicy, make_policy
 from fraglab.errors import (
     CorruptionError,
     NoSpaceError,
@@ -12,19 +13,23 @@ from fraglab.errors import (
 from fraglab.metrics import fragments_of
 from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
 from fraglab.volume import Band, Extent, create_volume
+from linear_alloc import PerRequestStore, per_request_plan
 
 KB = 1024
 MB = 1024 * 1024
 
 
 class CountingFirstFit(FirstFitPolicy):
+    """Counts the store's calls, and the write requests they carry (the sum of their counts)."""
+
     def __init__(self, **kw):
         super().__init__(**kw)
-        self.calls = 0
+        self.calls = self.requests = 0
 
-    def alloc(self, volume, clusters):
+    def alloc(self, volume, clusters, count=1):
         self.calls += 1
-        return super().alloc(volume, clusters)
+        self.requests += count
+        return super().alloc(volume, clusters, count)
 
 
 def make_store(total=4096, policy=None, **cfg):
@@ -38,13 +43,13 @@ class TestPutNew:
         policy = CountingFirstFit(fragmenting=True)
         store = make_store(policy=policy, write_request_size=64 * KB)
         store.put_new("a", 256 * KB)
-        assert policy.calls == 4
+        assert (policy.requests, policy.calls) == (4, 1)
 
     def test_hinted_put_is_one_call_one_fragment(self):
         policy = CountingFirstFit(fragmenting=True)
         store = make_store(policy=policy, size_hint=True)
         rec = store.put_new("a", 256 * KB)
-        assert policy.calls == 1
+        assert (policy.requests, policy.calls) == (1, 1)
         assert len(rec.extents) == 1
         assert fragments_of(rec) == 1
 
@@ -76,6 +81,77 @@ class TestPutNew:
         rec = store.put_new("a", 256 * KB)
         # sequential appends on a clean volume land adjacent: one extent
         assert rec.extents == [Extent(0, 64)]
+
+
+class TestAppendPlan:
+    """The store's (clusters, count) groups against the one-entry-per-request plan they replaced."""
+
+    @pytest.mark.parametrize("request_size, size_hint", [
+        (4 * KB, False), (64 * KB, False), (6 * KB, False), (4 * KB + 1, False), (64 * KB, True),
+    ], ids=["one_cluster", "sixteen_clusters", "six_kib", "a_cluster_and_a_byte", "size_hint"])
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.integers(1, 2 * MB))
+    @example(size=1)
+    @example(size=2 * MB)
+    @example(size=6 * KB + 1)
+    def test_groups_expand_to_the_per_request_plan(self, request_size, size_hint, size):
+        plan = make_store(write_request_size=request_size, size_hint=size_hint)._append_plan(size)
+        assert [k for k, count in plan for _ in range(count)] == per_request_plan(
+            size, 4096, request_size, size_hint)
+        assert all(count >= 1 for _k, count in plan)
+        assert all(a[0] != b[0] for a, b in zip(plan, plan[1:]))   # equal neighbours are one group
+
+
+def holed_store(kind, store_class=ObjectStore):
+    """A full 64-cluster volume with free runs of 4, 4, 4 and 2 clusters and 4 awaiting a
+    checkpoint; 16 KiB write requests, so a 20-cluster write is one group of five 4-cluster
+    requests, and the fourth finds no space."""
+    volume = create_volume(64, 4096, [Band(0, 32, 60e6), Band(32, 64, 30e6)])
+    policy = make_policy(kind, kind not in ("buddy", "first_fit"))
+    store = store_class(volume, StoreConfig(policy=policy, write_request_size=16 * KB,
+                                            checkpoint_every=100))
+    for oid, clusters in enumerate([4] * 12 + [2, 2] + [4] * 3):
+        store.put_new(oid, clusters * 4096)
+    for oid in (2, 6, 10, 12):
+        store.delete(oid)
+    store.checkpoint_now()
+    store.delete(16)
+    assert list(volume.free) == [(8, 4), (24, 4), (40, 4), (48, 2)]
+    assert list(volume.deferred) == [(60, 4)]
+    return store
+
+
+def store_state(store):
+    volume = store.volume
+    return (list(volume.free), list(volume.deferred), dict(volume.owners), store._pending,
+            [(rec.id, rec.size, rec.generation, list(rec.extents)) for rec in store.records()],
+            (store.clock.bytes_turned_over, store.clock.live_bytes))
+
+
+class TestNoSpaceMidGroup:
+    """The fourth request of a group finds no space: the batched call gives back what the
+    requests before it took, as the per-request store's rollback does."""
+
+    @pytest.mark.parametrize("op", ["put", "safe_write"])
+    @pytest.mark.parametrize("kind", ["first_fit", "best_fit", "worst_fit", "buddy", "ntfs_like"])
+    def test_rolls_back_to_the_state_before_the_op(self, kind, op):
+        errors, policies = [], []
+        for store_class in (ObjectStore, PerRequestStore):
+            store = holed_store(kind, store_class)
+            before = store_state(store)
+            with pytest.raises(NoSpaceError) as err:
+                if op == "put":
+                    store.put_new("new", 20 * 4096)
+                else:
+                    store.safe_write(0, 20 * 4096)
+            assert store_state(store) == before
+            store.volume.audit(deep=True)
+            store.verify_layout()
+            errors.append((str(err.value), err.value.requested, err.value.available))
+            policies.append(vars(store.config.policy))
+        assert errors[0] == errors[1]
+        assert errors[0][2] == 2   # the free count when the fourth request failed
+        assert policies[0] == policies[1]
 
 
 class TestSafeWrite:

@@ -188,9 +188,9 @@ class TestHistogram:
                     vol.checkpoint()
             else:
                 want = rng.randint(1, 16)
-                off = vol.free.first_fit(want)
-                if off is not None:
-                    allocated.append(Extent(off, want))
+                got = vol.free.first_fit(want)
+                if got is not None:
+                    allocated.append(Extent(got[0], want))
         hist = vol.free_extent_histogram()
         assert sum(length * n for length, n in hist.items()) == vol.free_clusters
 
