@@ -8,15 +8,16 @@ runs or records (log_append's cleaner calls ObjectStore.compact), and keep
 only their allocator's state (buddy's internal fragmentation, a run cache, a log head).
 
 Common contracts:
-  * alloc(volume, k, count) serves count back-to-back requests of k clusters:
-    it returns exactly the coalesced pieces that count calls with count=1
-    would return, and leaves the free set, the deferred set and the policy's
-    state as they would; the fits serve all the requests one run can hold in
-    one index step, the other policies serve them one by one;
-  * if a request finds no space, the pieces the call has already taken go
-    back to the free set and the NoSpaceError is that request's own, with the
-    free count at that moment; the policy's state keeps what the requests
-    before it did;
+  * alloc(volume, requests) is the one call per object write: it serves the
+    write's (clusters, count) groups of equal write requests in order and
+    returns the coalesced pieces that one call per request would give, leaving
+    the free set, the deferred set and the policy's state as those calls
+    would; the fits serve all the requests one run can hold in one index
+    step, the other policies serve them one by one;
+  * if a request finds no space, every piece the write has taken goes back
+    to the free set and the NoSpaceError is that request's own, with the free
+    count at that moment; the policy's state keeps what the requests before
+    it did;
   * returned extents are removed from the free set before returning, are
     pairwise disjoint, and are in the object's logical order;
   * a policy with fragmenting=False gives each request one extent or raises
@@ -47,18 +48,17 @@ class AllocPolicy:
     requires_deferred_free = False
     fragmenting = False
 
-    def alloc(self, volume: Volume, clusters: int, count: int = 1) -> list[Extent]:
-        """Serve count requests of clusters each (see the module's contracts)."""
-        if clusters < 1 or count < 1:
+    def alloc(self, volume: Volume, requests: list[tuple[int, int]]) -> list[Extent]:
+        """Serve one object write's (clusters, count) requests (see the module's contracts)."""
+        if any(clusters < 1 or count < 1 for clusters, count in requests):
             raise UsageError("allocation request must be >= 1 cluster, and its count >= 1")
-        pieces, served = self._serve(volume, clusters, count)
-        if served == count:
-            return pieces   # the pieces of one step never touch one another
+        pieces: list[Extent] = []
         try:
-            while served < count:
-                more, n = self._serve(volume, clusters, count - served)
-                pieces += more
-                served += n
+            for clusters, count in requests:
+                while count:
+                    more, served = self._serve(volume, clusters, count)
+                    pieces += more
+                    count -= served
         except NoSpaceError:
             volume.release(pieces, "immediate")
             raise
@@ -148,6 +148,9 @@ class BuddyPolicy(AllocPolicy):
         n = volume.total_clusters
         if n & (n - 1):
             raise ConfigurationError("buddy policy needs a power-of-two volume size")
+        if self.min_order >= n.bit_length():   # orders compared, so no 2**min_order is built
+            raise ConfigurationError(f"buddy min_order {self.min_order} exceeds the volume's"
+                                     f" largest block order {n.bit_length() - 1}")
 
     def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
         order = max((clusters - 1).bit_length(), self.min_order)

@@ -2,8 +2,10 @@
 
 Objects are opaque blobs addressed by id.  A put appends in write-request
 sized chunks (or allocates the whole object up front when a size hint is
-configured); an update writes a complete new copy and then atomically swaps
-it for the old one, so a full version of the object exists at every point.
+configured), and hands all of an object's requests to the allocation policy
+in one call, which lands whole or takes nothing; an update writes a complete
+new copy that way and then atomically swaps it for the old one, so a full
+version of the object exists at every point.
 
 Every extent of an object's record is tagged on the volume with one owner
 run, (length, owner key, sequence number of its first cluster), written only
@@ -13,20 +15,13 @@ rebuilds all layouts from the runs alone: an independent check on the records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import sub
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from .alloc import AllocPolicy, make_policy
-from .errors import (
-    ConfigurationError,
-    CorruptionError,
-    NoSpaceError,
-    NotFoundError,
-    UndefinedAgeError,
-    UsageError,
-)
+from .errors import ConfigurationError, CorruptionError, NotFoundError, UndefinedAgeError, UsageError
 from .schema import default, dump, parse
 from .volume import Extent, Volume, coalesce
 
@@ -110,7 +105,7 @@ class _ReplaceTxn:
     old_extents: list[Extent]
     old_size: int
     temp_key: tuple
-    new_extents: list[Extent] = field(default_factory=list)
+    new_extents: list[Extent]
     committed: bool = False
     old_released: bool = False
 
@@ -148,9 +143,6 @@ class ObjectStore:
     def records(self) -> Iterator[ObjectRecord]:
         return iter(self._records.values())
 
-    def live_count(self) -> int:
-        return len(self._ids)
-
     def id_at(self, index: int) -> Hashable:
         return self._ids[index]
 
@@ -168,8 +160,7 @@ class ObjectStore:
             raise UsageError(f"object {oid!r} already exists")
         if size <= 0:
             raise UsageError("object size must be > 0")
-        self._prepare(size)
-        extents = self._alloc_stream(oid, size)
+        extents = self._allocate(oid, size)
         rec = self._insert(ObjectRecord(id=oid, size=size, extents=extents))
         self.clock.bytes_turned_over += size
         self._account_write(size, extents)
@@ -187,22 +178,10 @@ class ObjectStore:
         rec = self._require(oid)
         if new_size <= 0:
             raise UsageError("object size must be > 0")
-        # the policy may move objects (a cleaner pass), so it runs before the
-        # transaction reads the old extents
-        self._prepare(new_size)
-        txn = _ReplaceTxn(
-            oid=oid,
-            new_size=new_size,
-            old_extents=rec.extents,
-            old_size=rec.size,
-            temp_key=("~tmp", oid, rec.generation + 1),
-        )
-        self._pending = txn
-        try:
-            txn.new_extents = self._alloc_stream(txn.temp_key, new_size)
-        except NoSpaceError:
-            self._pending = None
-            raise
+        temp_key = ("~tmp", oid, rec.generation + 1)
+        new_extents = self._allocate(temp_key, new_size)
+        # making room may have moved objects (a cleaner pass), so the old extents are read now
+        txn = self._pending = _ReplaceTxn(oid, new_size, rec.extents, rec.size, temp_key, new_extents)
         self._hook("temp_written")
         self._hook("forced")  # durability point for the temp copy; no-op here
         self._commit_replace(txn)
@@ -347,7 +326,7 @@ class ObjectStore:
         if top < volume.total_clusters:
             volume.free.add(top, volume.total_clusters - top)
         for rec in self._records.values():
-            rec.extents = self._write_runs(rec.id, [(slid[e.offset], e.length) for e in rec.extents])
+            rec.extents = self._write_runs(rec.id, coalesce((slid[e.offset], e.length) for e in rec.extents))
         return moved
 
     def take_write_interval(self) -> tuple[int, float]:
@@ -379,31 +358,16 @@ class ObjectStore:
         plan = [(per_request, full)] if full else []
         return plan + [(tail, 1)] if tail else plan
 
-    def _prepare(self, size_bytes: int) -> None:
-        self.config.policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
+    def _allocate(self, key: Hashable, size_bytes: int) -> list[Extent]:
+        """Make room, allocate an object write's requests in one policy call, and write one
+        owner run per extent.  A write that runs out of space has taken nothing: the policy
+        gave back its pieces, and no run was written yet."""
+        policy = self.config.policy
+        policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
+        return self._write_runs(key, policy.alloc(self.volume, self._append_plan(size_bytes)))
 
-    def _alloc_stream(self, key: Hashable, size_bytes: int) -> list[Extent]:
-        """Allocate an object's clusters, then write one owner run per extent.
-
-        One policy call per group of equal write requests; if space runs out
-        mid-way, the policy has given back its call's pieces and this frees
-        the earlier calls' at once (the data never existed durably, and no run
-        was written yet).
-        """
-        volume = self.volume
-        alloc = self.config.policy.alloc
-        pieces: list[Extent] = []
-        try:
-            for clusters, count in self._append_plan(size_bytes):
-                pieces += alloc(volume, clusters, count)
-        except NoSpaceError:
-            volume.release(pieces, "immediate")
-            raise
-        return self._write_runs(key, pieces)
-
-    def _write_runs(self, key: Hashable, pieces: Iterable[tuple[int, int]]) -> list[Extent]:
-        """Coalesce pieces, in logical order, into extents; write one owner run of key for each."""
-        extents = coalesce(pieces)
+    def _write_runs(self, key: Hashable, extents: list[Extent]) -> list[Extent]:
+        """Write one owner run of key for each extent, in logical order; returns the extents."""
         seq = 0
         for ext in extents:
             self.volume.set_owner(ext.offset, ext.length, key, seq)
@@ -452,6 +416,10 @@ class ObjectStore:
         store = cls(Volume.from_state(state["volume"]), config)
         store.clock.bytes_turned_over = int(state["bytes_turned_over"])
         for oid, size, generation, extents in state["objects"]:
+            if oid in store:
+                raise ConfigurationError(f"snapshot lists object {oid!r} twice")
+            if int(size) < 1:
+                raise ConfigurationError(f"snapshot object {oid!r} has size {size}; sizes must be >= 1")
             extents = [Extent(int(o), int(l)) for o, l in extents]
             store._insert(ObjectRecord(oid, int(size), extents, int(generation)))
         return store

@@ -610,6 +610,9 @@ class Volume:
             vol.free.add(int(off), int(length))
         vol.release([Extent(int(o), int(n)) for o, n in state["deferred"]], "deferred")
         for off, length, key, seq in state["owners"]:
+            if isinstance(key, (list, dict)):
+                raise ConfigurationError(f"snapshot owner run at cluster {off} has key {key!r};"
+                                         " owner keys must be JSON scalars")
             vol.set_owner(int(off), int(length), key, int(seq))
         return vol
 

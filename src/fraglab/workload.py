@@ -109,7 +109,7 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
     A no-space during aging propagates; the harness snapshots and aborts.
     """
     spec.validate()
-    if store.live_count() == 0:
+    if len(store) == 0:
         raise UsageError("run_to_age requires a bulk-loaded store")
     rng = Xorshift64Star(derive_seed(spec.seed, _AGING_STREAM))
     echo = config_echo(store.volume, store.config, spec)
@@ -135,11 +135,11 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
 
     emit_due()
     while store.clock.age < spec.target_age:
-        victim = store.id_at(rng.randrange(store.live_count()))
+        victim = store.id_at(rng.randrange(len(store)))
         new_size = sample_size(spec.size_dist, rng)
         store.safe_write(victim, new_size)
         if spec.read_fraction > 0 and rng.random() < spec.read_fraction:
-            reader = store.id_at(rng.randrange(store.live_count()))
+            reader = store.id_at(rng.randrange(len(store)))
             rec, cost = store.get(reader)
             reads["count"] += 1
             reads["bytes"] += rec.size

@@ -74,7 +74,7 @@ def drive_mixed_ops(store, seed, n_ops, size_range, audit_every=1, scan_every=10
     for op_no in range(1, n_ops + 1):
         roll = rng.random()
         occupancy = store.volume.allocated_clusters / total
-        if store.live_count() == 0:
+        if len(store) == 0:
             action = "put"
         elif occupancy > 0.85:
             action = "delete"
@@ -91,15 +91,15 @@ def drive_mixed_ops(store, seed, n_ops, size_range, audit_every=1, scan_every=10
                 store.put_new(next_id, rng.randint(*size_range))
                 next_id += 1
             elif action == "safe_write":
-                victim = store.id_at(rng.randrange(store.live_count()))
+                victim = store.id_at(rng.randrange(len(store)))
                 store.safe_write(victim, rng.randint(*size_range))
             elif action == "delete":
-                store.delete(store.id_at(rng.randrange(store.live_count())))
+                store.delete(store.id_at(rng.randrange(len(store))))
             else:
                 store.checkpoint_now()
         except NoSpaceError:
-            if store.live_count():
-                store.delete(store.id_at(rng.randrange(store.live_count())))
+            if len(store):
+                store.delete(store.id_at(rng.randrange(len(store))))
         if op_no % audit_every == 0:
             store.volume.audit()
         if scan_every and op_no % scan_every == 0:

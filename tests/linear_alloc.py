@@ -1,14 +1,17 @@
 """The linear allocators that the free-run index replaced, and the store's
-one-call-per-write-request append plan that batching replaced, kept as oracles.
+one-group-per-write-request append plan that batching replaced, kept as oracles.
 
 LinearFreeIndex is the old free set: coalesced runs in two parallel lists
 sorted by offset.  The Linear*Policy classes keep the old policy bodies,
-which scan those lists front to back and serve one request per call.
+which scan those lists front to back and serve one request per alloc_one
+call; OneRequestAtATime gives them their own loop over an object write's
+requests, with their own rollback and coalesce, so the loop in
+AllocPolicy.alloc is checked against code it does not share.
 linear_volume() builds a volume whose free set is a LinearFreeIndex, and a
-PerRequestStore calls its policy once per write request, so the two together
-allocate exactly as fraglab did before the index and before batched appends;
-tests/test_free_index.py checks that the indexed, batched policies still
-agree with these, extent for extent.
+PerRequestStore hands its policy one (clusters, 1) group per write request,
+so the two together allocate exactly as fraglab did before the index and
+before batched appends; tests/test_free_index.py checks that the indexed,
+batched policies still agree with these, extent for extent.
 """
 
 from bisect import bisect_right
@@ -54,11 +57,31 @@ class PerRequestStore(ObjectStore):
                                                  config.write_request_size, config.size_hint)]
 
 
-def _check_request(clusters, count):
-    if count != 1:
-        raise AssertionError("a linear oracle serves one request per call")
-    if clusters < 1:
-        raise UsageError("allocation request must be >= 1 cluster")
+class OneRequestAtATime:
+    """alloc(volume, requests) as a loop of alloc_one calls, one per write request."""
+
+    def alloc(self, volume, requests):
+        if any(clusters < 1 or count < 1 for clusters, count in requests):
+            raise UsageError("allocation request must be >= 1 cluster, and its count >= 1")
+        pieces = []
+        try:
+            for clusters, count in requests:
+                for _ in range(count):
+                    pieces.extend(self.alloc_one(volume, clusters))
+        except NoSpaceError:
+            for ext in pieces:
+                volume.free.add(ext.offset, ext.length)
+            raise
+        extents = []
+        for ext in pieces:
+            if extents and extents[-1].end == ext.offset:
+                extents[-1] = Extent(extents[-1].offset, extents[-1].length + ext.length)
+            else:
+                extents.append(ext)
+        return extents
+
+    def alloc_one(self, volume, clusters):
+        raise NotImplementedError
 
 
 class LinearFreeIndex:
@@ -180,9 +203,8 @@ def _fragment_plan_by_size(volume, clusters):
     raise _no_space(volume, clusters)
 
 
-class LinearFirstFitPolicy(FirstFitPolicy):
-    def alloc(self, volume, clusters, count=1):
-        _check_request(clusters, count)
+class LinearFirstFitPolicy(OneRequestAtATime, FirstFitPolicy):
+    def alloc_one(self, volume, clusters):
         lengths = volume.free.lengths
         offsets = volume.free.offsets
         for i, length in enumerate(lengths):
@@ -203,9 +225,8 @@ class LinearFirstFitPolicy(FirstFitPolicy):
         return _take_plan(volume, plan)
 
 
-class LinearBestFitPolicy(BestFitPolicy):
-    def alloc(self, volume, clusters, count=1):
-        _check_request(clusters, count)
+class LinearBestFitPolicy(OneRequestAtATime, BestFitPolicy):
+    def alloc_one(self, volume, clusters):
         best_i = -1
         best_len = 0
         for i, length in enumerate(volume.free.lengths):
@@ -222,9 +243,8 @@ class LinearBestFitPolicy(BestFitPolicy):
         return _take_plan(volume, _fragment_plan_by_size(volume, clusters))
 
 
-class LinearWorstFitPolicy(WorstFitPolicy):
-    def alloc(self, volume, clusters, count=1):
-        _check_request(clusters, count)
+class LinearWorstFitPolicy(OneRequestAtATime, WorstFitPolicy):
+    def alloc_one(self, volume, clusters):
         worst_i = -1
         worst_len = 0
         for i, length in enumerate(volume.free.lengths):
@@ -239,9 +259,8 @@ class LinearWorstFitPolicy(WorstFitPolicy):
         return _take_plan(volume, _fragment_plan_by_size(volume, clusters))
 
 
-class LinearBuddyPolicy(BuddyPolicy):
-    def alloc(self, volume, clusters, count=1):
-        _check_request(clusters, count)
+class LinearBuddyPolicy(OneRequestAtATime, BuddyPolicy):
+    def alloc_one(self, volume, clusters):
         order = max((clusters - 1).bit_length(), self.min_order)
         block = 1 << order
         if block > volume.total_clusters:
@@ -256,7 +275,7 @@ class LinearBuddyPolicy(BuddyPolicy):
                            requested=block, available=volume.free_clusters)
 
 
-class LinearNtfsLikePolicy(NtfsLikePolicy):
+class LinearNtfsLikePolicy(OneRequestAtATime, NtfsLikePolicy):
     def _refresh_cache(self, volume):
         runs = sorted(zip(volume.free.offsets, volume.free.lengths), key=lambda r: (-r[1], -r[0]))
         self._cache = [[off, length] for off, length in runs[: self.cache_depth]]
@@ -304,8 +323,7 @@ class LinearNtfsLikePolicy(NtfsLikePolicy):
             return None
         return self._take_from_entry(volume, best, clusters)
 
-    def alloc(self, volume, clusters, count=1):
-        _check_request(clusters, count)
+    def alloc_one(self, volume, clusters):
         hit = self._stage1(volume, clusters) or self._stage2(volume, clusters)
         if hit is None:
             self._refresh_cache(volume)
@@ -319,7 +337,7 @@ class LinearNtfsLikePolicy(NtfsLikePolicy):
         return extents
 
 
-class LinearLogAppendPolicy(LogAppendPolicy):
+class LinearLogAppendPolicy(OneRequestAtATime, LogAppendPolicy):
     def _head_plan(self, volume, clusters):
         total = volume.total_clusters
         head = self.head % total
@@ -346,8 +364,7 @@ class LinearLogAppendPolicy(LogAppendPolicy):
                 return plan
         return None
 
-    def alloc(self, volume, clusters, count=1):
-        _check_request(clusters, count)
+    def alloc_one(self, volume, clusters):
         plan = self._head_plan(volume, clusters)
         if plan is None:
             raise NoSpaceError(f"log head has no room for {clusters} clusters",

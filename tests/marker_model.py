@@ -76,8 +76,8 @@ def record_policy(policy, model):
     """Report every piece the policy allocates, and every cleaner pass, to the model."""
     inner_alloc = policy.alloc
 
-    def alloc(volume, clusters, count=1):
-        out = inner_alloc(volume, clusters, count)
+    def alloc(volume, requests):
+        out = inner_alloc(volume, requests)
         model.pieces.extend(out)
         return out
 

@@ -214,7 +214,7 @@ def test_c7_robson_bound():
                 live_clusters -= ext.length
             else:
                 k = rng.randint(1, 64)
-                (ext,) = policy.alloc(volume, k)  # theorem: cannot run out
+                (ext,) = policy.alloc(volume, [(k, 1)])  # theorem: cannot run out
                 tracker.observe_alloc([ext])
                 live.append(ext)
                 live_clusters += k
@@ -240,7 +240,7 @@ def test_c8_deferred_isolation():
             if roll < 0.5:
                 k = rng.randint(1, 8)
                 try:
-                    got = policy.alloc(volume, k)
+                    got = policy.alloc(volume, [(k, 1)])
                 except NoSpaceError:
                     continue
                 for ext in got:

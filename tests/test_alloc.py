@@ -66,11 +66,11 @@ def reference_first_fit_fragmenting(volume, k):
 class TestFitPolicies:
     def test_first_fit_picks_first_fitting_run(self):
         vol = carve(one_band_volume(), [(0, 4), (10, 8)])
-        assert FirstFitPolicy().alloc(vol, 6) == [Extent(10, 6)]
+        assert FirstFitPolicy().alloc(vol, [(6, 1)]) == [Extent(10, 6)]
 
     def test_first_fit_fragmenting_splits_in_address_order(self):
         vol = carve(one_band_volume(), [(0, 4), (10, 3)])
-        got = FirstFitPolicy(fragmenting=True).alloc(vol, 6)
+        got = FirstFitPolicy(fragmenting=True).alloc(vol, [(6, 1)])
         assert got == [Extent(0, 4), Extent(10, 2)]
 
     def test_first_fit_fragmenting_matches_reference(self):
@@ -92,54 +92,69 @@ class TestFitPolicies:
             policy = FirstFitPolicy(fragmenting=True)
             if expected is None:
                 with pytest.raises(NoSpaceError):
-                    policy.alloc(vol, k)
+                    policy.alloc(vol, [(k, 1)])
             else:
-                assert policy.alloc(vol, k) == expected
+                assert policy.alloc(vol, [(k, 1)]) == expected
 
     def test_best_fit_takes_exact_fit(self):
         vol = carve(one_band_volume(), [(0, 8), (20, 6), (40, 12)])
-        assert BestFitPolicy().alloc(vol, 6) == [Extent(20, 6)]
+        assert BestFitPolicy().alloc(vol, [(6, 1)]) == [Extent(20, 6)]
 
     def test_worst_fit_takes_largest_run(self):
         vol = carve(one_band_volume(), [(0, 8), (20, 6), (40, 12)])
-        assert WorstFitPolicy().alloc(vol, 6) == [Extent(40, 6)]
+        assert WorstFitPolicy().alloc(vol, [(6, 1)]) == [Extent(40, 6)]
 
     def test_contiguous_only_raises_instead_of_splitting(self):
         for policy in (FirstFitPolicy(), BestFitPolicy(), WorstFitPolicy()):
             vol = carve(one_band_volume(), [(0, 4), (10, 4)])
             with pytest.raises(NoSpaceError):
-                policy.alloc(vol, 6)
+                policy.alloc(vol, [(6, 1)])
+
+    def test_groups_of_one_write_coalesce(self):
+        vol = one_band_volume()
+        assert FirstFitPolicy().alloc(vol, [(4, 3), (2, 1), (1, 2)]) == [Extent(0, 16)]
+
+    def test_failure_in_a_later_group_gives_back_the_whole_write(self):
+        vol = carve(one_band_volume(), [(0, 8), (20, 1)])
+        with pytest.raises(NoSpaceError) as err:
+            FirstFitPolicy().alloc(vol, [(4, 2), (2, 1)])
+        assert (err.value.requested, err.value.available) == (2, 1)
+        assert list(vol.free.runs()) == [Extent(0, 8), Extent(20, 1)]
 
     def test_alloc_result_leaves_free_set(self):
         vol = carve(one_band_volume(), [(0, 4), (10, 8)])
-        got = BestFitPolicy().alloc(vol, 8)
+        got = BestFitPolicy().alloc(vol, [(8, 1)])
         for ext in got:
             assert not vol.free.intersects(ext.offset, ext.length)
 
     def test_exact_fit_reuse_after_immediate_release(self):
         for policy in (FirstFitPolicy(), BestFitPolicy()):
             vol = carve(one_band_volume(), [(0, 20), (40, 9), (60, 30)])
-            got = policy.alloc(vol, 9)
+            got = policy.alloc(vol, [(9, 1)])
             assert len(got) == 1
             vol.release(got, "immediate")
-            again = policy.alloc(vol, 9)
+            again = policy.alloc(vol, [(9, 1)])
             assert len(again) == 1
 
     def test_request_below_one_cluster_is_usage_error(self):
-        with pytest.raises(UsageError):
-            FirstFitPolicy().alloc(one_band_volume(), 0)
+        # every group is checked before anything is taken
+        for requests in ([(0, 1)], [(1, 0)], [(4, 2), (0, 1)]):
+            vol = one_band_volume()
+            with pytest.raises(UsageError):
+                FirstFitPolicy().alloc(vol, requests)
+            assert list(vol.free.runs()) == [Extent(0, 100)]
 
 
 class TestBuddy:
     def test_rounds_request_up_and_aligns(self):
         vol = one_band_volume(16)
         policy = BuddyPolicy()
-        assert policy.alloc(vol, 3) == [Extent(0, 4)]
+        assert policy.alloc(vol, [(3, 1)]) == [Extent(0, 4)]
         assert policy.internal_frag_clusters == 1
 
     def test_request_five_gets_block_of_eight(self):
         vol = one_band_volume(16)
-        got = BuddyPolicy().alloc(vol, 5)
+        got = BuddyPolicy().alloc(vol, [(5, 1)])
         assert got == [Extent(8, 8)] or got == [Extent(0, 8)]
         assert got[0].length == 8
         assert got[0].offset % 8 == 0
@@ -147,25 +162,30 @@ class TestBuddy:
     def test_freed_siblings_merge(self):
         vol = one_band_volume(16)
         policy = BuddyPolicy()
-        a = policy.alloc(vol, 4)
-        b = policy.alloc(vol, 4)
+        a = policy.alloc(vol, [(4, 1)])
+        b = policy.alloc(vol, [(4, 1)])
         assert a == [Extent(0, 4)] and b == [Extent(4, 4)]
         vol.release(a, "immediate")
         vol.release(b, "immediate")
         # the merged parent is allocatable as one order-3 block
-        assert policy.alloc(vol, 8) == [Extent(0, 8)]
+        assert policy.alloc(vol, [(8, 1)]) == [Extent(0, 8)]
 
     def test_requires_power_of_two_volume(self):
         with pytest.raises(ConfigurationError):
             ObjectStore(one_band_volume(100), StoreConfig(policy=BuddyPolicy()))
         ObjectStore(one_band_volume(128), StoreConfig(policy=BuddyPolicy()))
 
+    def test_min_order_must_fit_the_volume(self):
+        ObjectStore(one_band_volume(128), StoreConfig(policy=BuddyPolicy(min_order=7)))
+        with pytest.raises(ConfigurationError, match="min_order 8 exceeds .* largest block order 7"):
+            ObjectStore(one_band_volume(128), StoreConfig(policy=BuddyPolicy(min_order=8)))
+
     def test_no_block_of_order_raises(self):
         vol = one_band_volume(16)
         policy = BuddyPolicy()
-        policy.alloc(vol, 16)
+        policy.alloc(vol, [(16, 1)])
         with pytest.raises(NoSpaceError):
-            policy.alloc(vol, 1)
+            policy.alloc(vol, [(1, 1)])
 
     def test_random_blocks_stay_aligned(self):
         rng = Xorshift64Star(5)
@@ -178,7 +198,7 @@ class TestBuddy:
             else:
                 want = rng.randint(1, 32)
                 try:
-                    got = policy.alloc(vol, want)
+                    got = policy.alloc(vol, [(want, 1)])
                 except NoSpaceError:
                     continue
                 (ext,) = got
@@ -197,11 +217,11 @@ def two_band_volume(total=300, outer_end=100):
 class TestNtfsLike:
     def test_stage1_first_fit_in_outer_band(self):
         vol = carve(two_band_volume(), [(0, 50), (150, 80)])
-        assert NtfsLikePolicy().alloc(vol, 20) == [Extent(0, 20)]
+        assert NtfsLikePolicy().alloc(vol, [(20, 1)]) == [Extent(0, 20)]
 
     def test_stage2_largest_cached_run(self):
         vol = carve(two_band_volume(), [(100, 50), (200, 25)])
-        got = NtfsLikePolicy().alloc(vol, 20)
+        got = NtfsLikePolicy().alloc(vol, [(20, 1)])
         assert got == [Extent(100, 20)]
 
     def test_stage2_matches_exhaustive_scan(self):
@@ -220,7 +240,7 @@ class TestNtfsLike:
             vol = carve(vol, runs)
             k = rng.randint(1, 15)
             fitting = [(-ln, off) for off, ln in runs if ln >= k]
-            got = NtfsLikePolicy().alloc(vol, k)
+            got = NtfsLikePolicy().alloc(vol, [(k, 1)])
             if fitting:
                 neg_ln, off = min(fitting)  # largest run, ties to low offset
                 assert got == [Extent(off, k)]
@@ -231,27 +251,27 @@ class TestNtfsLike:
         # space freed after the cache was built is not used until a miss
         vol = carve(two_band_volume(300, 5), [(100, 50), (200, 30)])
         policy = NtfsLikePolicy()
-        assert policy.alloc(vol, 10) == [Extent(100, 10)]  # builds cache
+        assert policy.alloc(vol, [(10, 1)]) == [Extent(100, 10)]  # builds cache
         vol.release([Extent(10, 80)], "immediate")  # bigger, but invisible
-        assert policy.alloc(vol, 10) == [Extent(110, 10)]  # still old run
-        assert policy.alloc(vol, 35) == [Extent(10, 35)]  # miss -> refresh
+        assert policy.alloc(vol, [(10, 1)]) == [Extent(110, 10)]  # still old run
+        assert policy.alloc(vol, [(35, 1)]) == [Extent(10, 35)]  # miss -> refresh
 
     def test_cache_entry_shrinks_with_its_run(self):
         vol = carve(two_band_volume(300, 5), [(100, 50), (200, 30)])
         policy = NtfsLikePolicy()
-        assert policy.alloc(vol, 10) == [Extent(100, 10)]  # cache: (110, 40), (200, 30)
+        assert policy.alloc(vol, [(10, 1)]) == [Extent(100, 10)]  # cache: (110, 40), (200, 30)
         vol.free.take(130, 20)  # the run at 110 shrinks to 20 behind the cache's back
-        assert policy.alloc(vol, 25) == [Extent(200, 25)]
+        assert policy.alloc(vol, [(25, 1)]) == [Extent(200, 25)]
 
     def test_stage3_fragments_largest_first(self):
         vol = carve(two_band_volume(300, 5), [(100, 50), (10, 10)])
-        got = NtfsLikePolicy().alloc(vol, 60)
+        got = NtfsLikePolicy().alloc(vol, [(60, 1)])
         assert got == [Extent(100, 50), Extent(10, 10)]
 
     def test_no_space_when_total_free_short(self):
         vol = carve(two_band_volume(300, 5), [(100, 50), (10, 5)])
         with pytest.raises(NoSpaceError):
-            NtfsLikePolicy().alloc(vol, 60)
+            NtfsLikePolicy().alloc(vol, [(60, 1)])
 
     def test_cache_survives_volume_churn(self):
         # stale cache entries must be revalidated, never double-allocated
@@ -260,7 +280,7 @@ class TestNtfsLike:
         seen = []
         for k in (20, 20, 20, 20):
             try:
-                seen.extend(policy.alloc(vol, k))
+                seen.extend(policy.alloc(vol, [(k, 1)]))
             except NoSpaceError:
                 break
         for i, a in enumerate(seen):
@@ -283,38 +303,38 @@ class TestLogAppend:
     def test_fresh_volume_appends_chronologically(self):
         vol = one_band_volume()
         policy = LogAppendPolicy()
-        assert policy.alloc(vol, 10) == [Extent(0, 10)]
-        assert policy.alloc(vol, 10) == [Extent(10, 10)]
-        assert policy.alloc(vol, 10) == [Extent(20, 10)]
+        assert policy.alloc(vol, [(10, 1)]) == [Extent(0, 10)]
+        assert policy.alloc(vol, [(10, 1)]) == [Extent(10, 10)]
+        assert policy.alloc(vol, [(10, 1)]) == [Extent(20, 10)]
 
     def test_wraps_into_free_start(self):
         vol = one_band_volume()
         policy = LogAppendPolicy()
-        head_runs = [policy.alloc(vol, 90), policy.alloc(vol, 10)]
+        head_runs = [policy.alloc(vol, [(90, 1)]), policy.alloc(vol, [(10, 1)])]
         vol.release(head_runs[0], "immediate")  # start of volume becomes free
-        got = policy.alloc(vol, 10)
+        got = policy.alloc(vol, [(10, 1)])
         # head was at the very end; allocation wraps to cluster 0
         assert got == [Extent(0, 10)]
-        got = policy.alloc(vol, 10)
+        got = policy.alloc(vol, [(10, 1)])
         assert got == [Extent(10, 10)]
 
     def test_wrap_splits_tail_and_start(self):
         vol = one_band_volume()
         policy = LogAppendPolicy()
-        a = policy.alloc(vol, 80)
-        policy.alloc(vol, 10)  # keeps 90..100 free at the head
+        a = policy.alloc(vol, [(80, 1)])
+        policy.alloc(vol, [(10, 1)])  # keeps 90..100 free at the head
         vol.release(a, "immediate")
-        got = policy.alloc(vol, 30)
+        got = policy.alloc(vol, [(30, 1)])
         assert got == [Extent(90, 10), Extent(0, 20)]
 
     def test_no_space_without_cleaner(self):
         vol = one_band_volume()
         policy = LogAppendPolicy()
-        first = policy.alloc(vol, 50)
-        policy.alloc(vol, 45)
+        first = policy.alloc(vol, [(50, 1)])
+        policy.alloc(vol, [(45, 1)])
         vol.release([Extent(10, 20)], "immediate")  # interior hole behind the head
         with pytest.raises(NoSpaceError):
-            policy.alloc(vol, 10)  # 5 at head + hole is not reachable
+            policy.alloc(vol, [(10, 1)])  # 5 at head + hole is not reachable
 
 
 class TestCleaner:
@@ -408,7 +428,7 @@ class TestRobson:
                     live_clusters -= ext.length
                 else:
                     k = rng.randint(1, 64)
-                    (ext,) = policy.alloc(vol, k)
+                    (ext,) = policy.alloc(vol, [(k, 1)])
                     tracker.observe_alloc([ext])
                     live.append(ext)
                     live_clusters += k
@@ -449,7 +469,7 @@ def test_alloc_results_disjoint_and_sized(kind, requests, seed):
         if live and rng.random() < 0.4:
             vol.release(live.pop(rng.randrange(len(live))), "immediate")
         try:
-            got = policy.alloc(vol, k)
+            got = policy.alloc(vol, [(k, 1)])
         except NoSpaceError:
             assert vol.free_clusters < k or not policy.fragmenting
             continue

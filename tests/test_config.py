@@ -104,6 +104,21 @@ MALFORMED = {
         json.dumps(edit(snapshot_state(), lambda s: s["volume"]["deferred"].append([2040, 10]))),
         "snapshot deferred run [2040, 10] lies outside the volume's 2048 clusters",
     ),
+    "snapshot_object_listed_twice": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"].append(s["objects"][0]))),
+        "snapshot lists object 0 twice",
+    ),
+    "snapshot_object_size_below_one": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(1, -5))),
+        "snapshot object 0 has size -5",
+    ),
+    "snapshot_owner_key_not_a_scalar": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["owners"][0].__setitem__(2, [0, 1]))),
+        "owner keys must be JSON scalars",
+    ),
     "snapshot_config_typo": (
         ("scan",),
         json.dumps(edit(snapshot_state(), lambda s: s["config"].update(free_mod="immediate"))),
@@ -167,6 +182,9 @@ VALIDATE_LIKE_RUN = {
     "buddy_on_3000_clusters": edit(
         config_doc(policy="buddy"), lambda d: d["volume"].update(total_clusters=3000)
     ),
+    # 2048 clusters hold blocks of order 11 at most
+    "buddy_min_order_one_past_the_volume": config_doc(policy={"kind": "buddy", "params": {"min_order": 12}}),
+    "buddy_min_order_20000": config_doc(policy={"kind": "buddy", "params": {"min_order": 20000}}),
 }
 
 

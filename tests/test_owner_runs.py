@@ -109,8 +109,8 @@ def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every,
             except NoSpaceError:
                 pass
             next_id += 1
-        elif op[0] == "safe_write" and store.live_count():
-            oid = store.id_at(op[1] % store.live_count())
+        elif op[0] == "safe_write" and len(store):
+            oid = store.id_at(op[1] % len(store))
             step = op[3]
             store.step_hook = _abort_at(step) if step else None
             temp = ("~tmp", oid, model.generation[oid] + 1)
@@ -133,8 +133,8 @@ def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every,
                 model.mark(oid)
                 model.generation[oid] += 1
             store.step_hook = None
-        elif op[0] == "delete" and store.live_count():
-            oid = store.id_at(op[1] % store.live_count())
+        elif op[0] == "delete" and len(store):
+            oid = store.id_at(op[1] % len(store))
             store.delete(oid)
             model.clear(oid)
         elif op[0] == "checkpoint":

@@ -13,7 +13,7 @@ from fraglab.errors import (
 from fraglab.metrics import fragments_of
 from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
 from fraglab.volume import Band, Extent, create_volume
-from linear_alloc import PerRequestStore, per_request_plan
+from linear_alloc import LINEAR_POLICIES, PerRequestStore, linear_volume, per_request_plan
 
 KB = 1024
 MB = 1024 * 1024
@@ -26,10 +26,10 @@ class CountingFirstFit(FirstFitPolicy):
         super().__init__(**kw)
         self.calls = self.requests = 0
 
-    def alloc(self, volume, clusters, count=1):
+    def alloc(self, volume, requests):
         self.calls += 1
-        self.requests += count
-        return super().alloc(volume, clusters, count)
+        self.requests += sum(count for _clusters, count in requests)
+        return super().alloc(volume, requests)
 
 
 def make_store(total=4096, policy=None, **cfg):
@@ -102,22 +102,34 @@ class TestAppendPlan:
         assert all(a[0] != b[0] for a, b in zip(plan, plan[1:]))   # equal neighbours are one group
 
 
-def holed_store(kind, store_class=ObjectStore):
-    """A full 64-cluster volume with free runs of 4, 4, 4 and 2 clusters and 4 awaiting a
-    checkpoint; 16 KiB write requests, so a 20-cluster write is one group of five 4-cluster
-    requests, and the fourth finds no space."""
-    volume = create_volume(64, 4096, [Band(0, 32, 60e6), Band(32, 64, 30e6)])
-    policy = make_policy(kind, kind not in ("buddy", "first_fit"))
-    store = store_class(volume, StoreConfig(policy=policy, write_request_size=16 * KB,
-                                            checkpoint_every=100))
-    for oid, clusters in enumerate([4] * 12 + [2, 2] + [4] * 3):
+def holed_store(kind, oracle, layout):
+    """A full volume with holes, on the indexed policies or (oracle) on the linear ones and a
+    per-request store; 16 KiB write requests of 4 clusters.
+
+    mid_group: 64 clusters, free runs of 4, 4, 4 and 2 and 4 awaiting a checkpoint; a
+    20-cluster write is one group of five requests, and the fourth finds no space.
+    later_group: 128 clusters, sixteen free runs of 4 and one of 1, and 1 awaiting a
+    checkpoint; a 66-cluster write is sixteen full requests and a 2-cluster tail, and the
+    tail finds no space.
+    """
+    total, sizes, holes, deferred = {
+        "mid_group": (64, [4] * 12 + [2, 2] + [4] * 3, (2, 6, 10, 12), 16),
+        "later_group": (128, [4] * 31 + [1] * 4, [*range(0, 31, 2), 33], 34),
+    }[layout]
+    bands = [Band(0, total // 2, 60e6), Band(total // 2, total, 30e6)]
+    fragmenting = kind not in ("buddy", "first_fit")
+    if oracle:
+        volume, store_class, policy = linear_volume(total, 4096, bands), PerRequestStore, LINEAR_POLICIES[kind]()
+        policy.fragmenting = fragmenting
+    else:
+        volume, store_class, policy = create_volume(total, 4096, bands), ObjectStore, make_policy(kind, fragmenting)
+    store = store_class(volume, StoreConfig(policy=policy, write_request_size=16 * KB, checkpoint_every=100))
+    for oid, clusters in enumerate(sizes):
         store.put_new(oid, clusters * 4096)
-    for oid in (2, 6, 10, 12):
+    for oid in holes:
         store.delete(oid)
     store.checkpoint_now()
-    store.delete(16)
-    assert list(volume.free) == [(8, 4), (24, 4), (40, 4), (48, 2)]
-    assert list(volume.deferred) == [(60, 4)]
+    store.delete(deferred)
     return store
 
 
@@ -128,30 +140,55 @@ def store_state(store):
             (store.clock.bytes_turned_over, store.clock.live_bytes))
 
 
+def check_no_space_rollback(kind, op, layout, clusters, plan, free, deferred, available):
+    """The write fails on its last request: on the indexed policies and on the linear oracle,
+    the state is as before the op, and the errors and the policies' state are equal."""
+    errors, policies = [], []
+    for oracle in (False, True):
+        store = holed_store(kind, oracle, layout)
+        assert (list(store.volume.free), list(store.volume.deferred)) == (free, deferred)
+        if not oracle:
+            assert store._append_plan(clusters * 4096) == plan
+        before = store_state(store)
+        with pytest.raises(NoSpaceError) as err:
+            if op == "put":
+                store.put_new("new", clusters * 4096)
+            else:
+                store.safe_write(1, clusters * 4096)
+        assert store_state(store) == before
+        store.volume.audit(deep=True)
+        store.verify_layout()
+        errors.append((str(err.value), err.value.requested, err.value.available))
+        policies.append(vars(store.config.policy))
+    assert errors[0] == errors[1]
+    # the last request failed, with the free count it found
+    assert errors[0][1:] == (plan[-1][0], available)
+    assert policies[0] == policies[1]
+
+
+NO_SPACE_KINDS = ["first_fit", "best_fit", "worst_fit", "buddy", "ntfs_like"]
+
+
 class TestNoSpaceMidGroup:
-    """The fourth request of a group finds no space: the batched call gives back what the
-    requests before it took, as the per-request store's rollback does."""
+    """The fourth request of a group finds no space: the one policy call gives back what the
+    requests before it took, as the linear per-request oracle's own loop does."""
 
     @pytest.mark.parametrize("op", ["put", "safe_write"])
-    @pytest.mark.parametrize("kind", ["first_fit", "best_fit", "worst_fit", "buddy", "ntfs_like"])
+    @pytest.mark.parametrize("kind", NO_SPACE_KINDS)
     def test_rolls_back_to_the_state_before_the_op(self, kind, op):
-        errors, policies = [], []
-        for store_class in (ObjectStore, PerRequestStore):
-            store = holed_store(kind, store_class)
-            before = store_state(store)
-            with pytest.raises(NoSpaceError) as err:
-                if op == "put":
-                    store.put_new("new", 20 * 4096)
-                else:
-                    store.safe_write(0, 20 * 4096)
-            assert store_state(store) == before
-            store.volume.audit(deep=True)
-            store.verify_layout()
-            errors.append((str(err.value), err.value.requested, err.value.available))
-            policies.append(vars(store.config.policy))
-        assert errors[0] == errors[1]
-        assert errors[0][2] == 2   # the free count when the fourth request failed
-        assert policies[0] == policies[1]
+        check_no_space_rollback(kind, op, "mid_group", 20, [(4, 5)],
+                                [(8, 4), (24, 4), (40, 4), (48, 2)], [(60, 4)], 2)
+
+
+class TestNoSpaceInALaterGroup:
+    """The tail request after sixteen full ones finds no space: the one policy call gives back
+    what the first group took too, as the linear per-request oracle's own loop does."""
+
+    @pytest.mark.parametrize("op", ["put", "safe_write"])
+    @pytest.mark.parametrize("kind", NO_SPACE_KINDS)
+    def test_rolls_back_to_the_state_before_the_op(self, kind, op):
+        check_no_space_rollback(kind, op, "later_group", 66, [(4, 16), (2, 1)],
+                                [(i, 4) for i in range(0, 128, 8)] + [(126, 1)], [(127, 1)], 1)
 
 
 class TestSafeWrite:

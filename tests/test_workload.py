@@ -141,14 +141,14 @@ class TestRunToAge:
         bulk_load(store, s)
         run_to_age(store, s)
         assert store.clock.live_bytes == 10 * MB
-        assert store.live_count() == 10
+        assert len(store) == 10
 
     def test_occupancy_bounded_uniform_sizes(self):
         store = make_store()
         s = spec(n=10, mean=1 * MB, hw=512 * KB, target=4.0, ages=[4.0])
         bulk_load(store, s)
         run_to_age(store, s)
-        assert store.live_count() == 10
+        assert len(store) == 10
         assert 10 * (1 * MB - 512 * KB) <= store.clock.live_bytes <= 10 * (1 * MB + 512 * KB)
 
     def test_age_strictly_increases_per_safe_write(self):
