@@ -53,9 +53,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    store = harness.load_snapshot(args.snapshot)
-    store.volume.audit()
-    store.verify_layout()
+    store = harness.load_snapshot(args.snapshot)   # which audits and verifies the layout
     print(f"scan ok: {len(store)} objects, layouts match the records exactly")
     return EXIT_OK
 

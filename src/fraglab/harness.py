@@ -252,7 +252,8 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> dict:
     if parallelism <= 1 or len(cells) <= 1:
         results = [_run_cell(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # the pool starts all its workers at once, so never more than there are cells
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(cells))) as pool:
             results = list(pool.map(_run_cell, cells))
     results.sort(key=lambda r: r["cell_key"])
     rows = []

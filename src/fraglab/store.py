@@ -102,12 +102,10 @@ class _ReplaceTxn:
 
     oid: Hashable
     new_size: int
-    old_extents: list[Extent]
-    old_size: int
+    old_extents: list[Extent]   # emptied once they are released
     temp_key: tuple
     new_extents: list[Extent]
     committed: bool = False
-    old_released: bool = False
 
 
 # safe-write protocol boundaries, in order; the step hook sees each name
@@ -181,13 +179,13 @@ class ObjectStore:
         temp_key = ("~tmp", oid, rec.generation + 1)
         new_extents = self._allocate(temp_key, new_size)
         # making room may have moved objects (a cleaner pass), so the old extents are read now
-        txn = self._pending = _ReplaceTxn(oid, new_size, rec.extents, rec.size, temp_key, new_extents)
+        txn = self._pending = _ReplaceTxn(oid, new_size, rec.extents, temp_key, new_extents)
         self._hook("temp_written")
         self._hook("forced")  # durability point for the temp copy; no-op here
         self._commit_replace(txn)
         self._hook("replaced")
         self.volume.release(txn.old_extents, self.config.free_mode)
-        txn.old_released = True
+        txn.old_extents = []   # nothing is left for recover() to roll forward
         self._hook("old_released")
         self._pending = None
         self._after_mutation()
@@ -199,9 +197,9 @@ class ObjectStore:
         self.volume.clear_markers(txn.old_extents)
         self.volume.rekey_owners(txn.new_extents, txn.temp_key, txn.oid)
         rec.extents = txn.new_extents
+        self.clock.live_bytes += txn.new_size - rec.size
         rec.size = txn.new_size
         rec.generation += 1
-        self.clock.live_bytes += txn.new_size - txn.old_size
         self.clock.bytes_turned_over += txn.new_size
         self._account_write(txn.new_size, txn.new_extents)
         txn.committed = True
@@ -237,7 +235,7 @@ class ObjectStore:
         if not txn.committed:
             self.volume.clear_markers(txn.new_extents)
             self.volume.release(txn.new_extents, "immediate")
-        elif not txn.old_released:
+        else:
             self.volume.release(txn.old_extents, self.config.free_mode)
 
     # -- read path ---------------------------------------------------------
@@ -420,6 +418,11 @@ class ObjectStore:
                 raise ConfigurationError(f"snapshot lists object {oid!r} twice")
             if int(size) < 1:
                 raise ConfigurationError(f"snapshot object {oid!r} has size {size}; sizes must be >= 1")
+            if int(generation) < 0:
+                raise ConfigurationError(f"snapshot object {oid!r} has generation {generation}; it must be >= 0")
             extents = [Extent(int(o), int(l)) for o, l in extents]
             store._insert(ObjectRecord(oid, int(size), extents, int(generation)))
+        # a snapshot that loads is one that scans clean: the records must match the owner runs
+        store.volume.audit()
+        store.verify_layout()
         return store

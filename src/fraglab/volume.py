@@ -170,7 +170,8 @@ class FreeExtentIndex:
     The fits serve up to `count` requests of k clusters each and return
     (offset, requests served), aligned_block returns the offset it took; both
     give None when nothing fits, and ties go to the lowest offset.  Only they,
-    add() and take() mutate.
+    add() and take() mutate, and every mutation goes through _splice, the one
+    code that keeps the firsts, maxima and size order current.
     """
 
     __slots__ = ("_offs", "_lens", "_firsts", "_maxes", "_sizes", "total_free")
@@ -301,11 +302,8 @@ class FreeExtentIndex:
             length += nxt[3]
         if touches_prev:
             self._splice(prev[0], prev[1], 1, ((prev[2], prev[3] + length),))
-        elif self._firsts:   # a run of its own, after prev or first of all
+        else:   # a run of its own, after prev or first of all
             self._splice(*((prev[0], prev[1] + 1) if prev else (0, 0)), 0, ((offset, length),))
-        else:
-            self._insert_chunk(0, [offset], [length])
-            self._resize((), ((length, offset),))
 
     def take(self, offset: int, length: int) -> int:
         """Remove [offset, offset+length), which must lie inside one free run; return offset."""
@@ -322,35 +320,31 @@ class FreeExtentIndex:
     def _take_front(self, ci: int, j: int, k: int, count: int) -> tuple[int, int]:
         """Take n = min(count, length // k) requests of k clusters off the front of the run
         at (ci, j), which holds one at least; return (its offset, n)."""
-        offs = self._offs[ci]
-        lens = self._lens[ci]
-        offset = offs[j]
-        length = lens[j]
+        offset = self._offs[ci][j]
+        length = self._lens[ci][j]
         n = length // k
         if n > count:
             n = count
         taken = n * k
-        if length == taken:
-            self._splice(ci, j, 1, ())
-        else:   # the fits' hot path: shrink the run in place
-            offs[j] = offset + taken
-            lens[j] = length - taken
-            if j == 0:
-                self._firsts[ci] = offset + taken
-            if length == self._maxes[ci]:
-                self._maxes[ci] = max(lens)
-            if self._sizes is not None:   # the shorter run moves down the size order
-                self._resize(((length, offset),), ((length - taken, offset + taken),))
+        self._splice(ci, j, 1, ((offset + taken, length - taken),) if length > taken else ())
         self.total_free -= taken
         return offset, n
 
     def _splice(self, ci: int, j: int, removed: int, pieces) -> None:
-        """Put the (offset, length) pieces in place of `removed` (0 or 1) runs at (ci, j)."""
+        """Put the (offset, length) pieces in place of `removed` (0 or 1) runs at (ci, j).
+        The one writer of the runs, so the one keeper of the chunk firsts, maxima and size
+        order; at (0, 0) of an empty index it makes the first chunk."""
+        if not self._offs:
+            self._offs, self._lens, self._firsts, self._maxes = [[]], [[]], [0], [0]
         offs, lens = self._offs[ci], self._lens[ci]
         gone = lens[j] if removed else 0
-        if self._sizes is not None:
-            self._resize(((gone, offs[j]),) if removed else (), [(n, o) for o, n in pieces])
-        if removed == len(pieces) == 1:
+        sizes = self._sizes
+        if sizes is not None:
+            if removed:
+                sizes.remove((gone, offs[j]))
+            for offset, length in pieces:
+                sizes.add((length, offset))
+        if removed == len(pieces) == 1:   # the fits' hot path: a run changes in place
             offs[j], lens[j] = pieces[0]
         else:
             offs[j:j + removed] = [offset for offset, _length in pieces]
@@ -359,7 +353,10 @@ class FreeExtentIndex:
                 del self._offs[ci], self._lens[ci], self._firsts[ci], self._maxes[ci]
                 return
             if len(offs) > 2 * CHUNK:
-                self._insert_chunk(ci + 1, offs[CHUNK:], lens[CHUNK:])
+                self._offs.insert(ci + 1, offs[CHUNK:])
+                self._lens.insert(ci + 1, lens[CHUNK:])
+                self._firsts.insert(ci + 1, offs[CHUNK])
+                self._maxes.insert(ci + 1, max(lens[CHUNK:]))
                 del offs[CHUNK:], lens[CHUNK:]
                 gone = self._maxes[ci]   # the tail may have held the maximum
         self._firsts[ci] = offs[0]
@@ -371,25 +368,10 @@ class FreeExtentIndex:
                 if length > longest:
                     self._maxes[ci] = longest = length
 
-    def _insert_chunk(self, ci: int, offs: list[int], lens: list[int]) -> None:
-        self._offs.insert(ci, offs)
-        self._lens.insert(ci, lens)
-        self._firsts.insert(ci, offs[0])
-        self._maxes.insert(ci, max(lens))
-
     def _by_size(self) -> _SortedChunks:
         if self._sizes is None:
             self._sizes = _SortedChunks((length, offset) for offset, length in self)
         return self._sizes
-
-    def _resize(self, old, new) -> None:
-        """Swap (length, offset) pairs in the size order, once it has been built."""
-        sizes = self._sizes
-        if sizes is not None:
-            for pair in old:
-                sizes.remove(pair)
-            for pair in new:
-                sizes.add(pair)
 
     def check(self) -> None:
         """Recount everything the index keeps; raise on any inconsistency."""

@@ -7,7 +7,7 @@ import pytest
 
 from fraglab import cli, harness, schema
 from fraglab.alloc import POLICY_KINDS, make_policy
-from fraglab.errors import ConfigurationError, EXIT_CONFIG
+from fraglab.errors import ConfigurationError, CorruptionError, EXIT_CONFIG
 from fraglab.store import ObjectStore, StoreConfig
 from fraglab.workload import bulk_load, run_to_age
 
@@ -113,6 +113,11 @@ MALFORMED = {
         ("scan",),
         json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(1, -5))),
         "snapshot object 0 has size -5",
+    ),
+    "snapshot_object_generation_below_zero": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(2, -3))),
+        "snapshot object 0 has generation -3",
     ),
     "snapshot_owner_key_not_a_scalar": (
         ("scan",),
@@ -258,6 +263,16 @@ def test_snapshot_keeps_policy_params_seek_time_and_age(tmp_path):
     assert clone.clock.age == store.clock.age >= 2.0
     assert clone.to_state() == store.to_state()
     assert ObjectStore.from_state(store.to_state()).to_state() == store.to_state()
+
+
+def test_snapshot_whose_records_disagree_with_the_owner_runs_is_refused_as_it_loads(tmp_path):
+    state = snapshot_state()
+    assert any(o <= 2000 and 2016 <= o + n for o, n in state["volume"]["free"])
+    state["objects"][0][3] = [[2000, 16]]   # object 0 now claims free space
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(state))
+    with pytest.raises(CorruptionError, match="object 0"):
+        harness.load_snapshot(str(path))
 
 
 def bundled_configs():

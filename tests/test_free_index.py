@@ -186,6 +186,18 @@ def test_chunks_split_delete_and_merge_across_boundaries():
     index.check()
 
 
+@pytest.mark.parametrize("chunk", [2, volume_module.CHUNK])
+def test_a_split_recounts_the_longest_run_of_the_half_that_lost_it(chunk):
+    # the random walk above rarely splits a chunk whose longest run lands in the new tail
+    with mock.patch.object(volume_module, "CHUNK", chunk):
+        index = FreeExtentIndex()
+        for off in range(0, 4 * chunk, 2):   # 2 * chunk one-cluster runs fill one chunk
+            index.add(off, 1)
+        index.add(4 * chunk + 1, 5)   # one run more splits it, and the longest goes to the tail
+        assert index._maxes == [1, 5]
+        index.check()
+
+
 # -- the policies against the linear oracles -------------------------------------
 
 # ntfs_like refuses immediate frees, so it runs deferred only

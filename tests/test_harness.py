@@ -160,6 +160,25 @@ class TestGrid:
         parallel = (tmp_path / "grid.csv").read_bytes()
         assert serial == parallel
 
+    def test_parallelism_is_capped_at_the_cell_count(self, tmp_path, monkeypatch):
+        asked = []
+
+        class SerialPool:   # records the worker count and starts no process
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        summary = harness.run_grid(harness.ExperimentGrid.from_dict(small_grid_doc(tmp_path)), parallelism=5000)
+        assert asked == [6] and summary == {"cells": 6, "failed": []}
+
     def test_failing_cell_reported_not_fatal(self, tmp_path):
         doc = small_grid_doc(tmp_path, seeds=(1,))
         doc["axes"]["occupancy"] = [0.5, 2.0]  # second cell infeasible
