@@ -92,7 +92,7 @@ def build_report(
     total_read_seconds = 0.0
     for rec in store.records():
         total_bytes += rec.size
-        total_read_seconds += volume.read_cost(rec.extents)
+        total_read_seconds += rec.read_seconds
     hist = volume.free_extent_histogram()
     clock = store.clock
     return FragReport(

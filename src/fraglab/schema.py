@@ -126,7 +126,7 @@ def parse(doc, path: str = "", tree: dict = CONFIG):
     """Check doc as the node at path (a whole config by default); return it canonical."""
     node = _node(path, tree)
     if isinstance(node, Field):
-        return _check(doc, node.type, path)
+        return check_type(doc, node.type, path)
     return _section(doc, node, path)
 
 
@@ -152,7 +152,7 @@ def _section(doc, node: dict, where: str, kind: str | None = None) -> dict:
                 raise ConfigurationError(f"missing {path}")
             out[name] = copy.deepcopy(spec.default)
         else:
-            out[name] = _check(doc[name], spec.type, path)
+            out[name] = check_type(doc[name], spec.type, path)
         if not isinstance(spec, dict) and spec.fixed:
             out[name] = fixed_value(path, out.get("kind", kind), doc.get(name), out[name])
     return out
@@ -162,13 +162,14 @@ _TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false
                str: "a string", dict: "an object", list: "an array"}
 
 
-def _check(value, spec, where: str):
+def check_type(value, spec, where: str):
+    """The value if it has the JSON type spec (an array spec checks each item); else one-line error."""
     if isinstance(spec, (list, tuple)):
         row = isinstance(spec, tuple)
         if not isinstance(value, (list, tuple)) or (row and len(value) != len(spec)):
             raise ConfigurationError(f"{where} must be an array{f' of {len(spec)}' if row else ''}")
         specs = spec if row else spec * len(value)
-        items = [_check(v, s, f"{where}[{i}]") for i, (v, s) in enumerate(zip(value, specs))]
+        items = [check_type(v, s, f"{where}[{i}]") for i, (v, s) in enumerate(zip(value, specs))]
         return tuple(items) if row else items
     if spec is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)

@@ -11,6 +11,8 @@ Every extent of an object's record is tagged on the volume with one owner
 run, (length, owner key, sequence number of its first cluster), written only
 here, also when compact() slides the data toward cluster 0.  scan_layout
 rebuilds all layouts from the runs alone: an independent check on the records.
+Deferred frees commit every checkpoint_every mutating ops; with no step hook to
+look in between, an op whose checkpoint falls due frees straight into the free set.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Hashable, Iterator
 
 from .alloc import AllocPolicy, make_policy
 from .errors import ConfigurationError, CorruptionError, NotFoundError, UndefinedAgeError, UsageError
-from .schema import default, dump, parse
+from .schema import check_type, default, dump, parse
 from .volume import Extent, Volume, coalesce
 
 
@@ -30,7 +32,7 @@ from .volume import Extent, Volume, coalesce
 SNAPSHOT_VERSION = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectRecord:
     """One stored object: logical size plus its physical layout."""
 
@@ -38,6 +40,7 @@ class ObjectRecord:
     size: int                 # logical bytes
     extents: list[Extent]     # logical order, adjacent pieces pre-merged
     generation: int = 0       # replacement count
+    read_seconds: float = 0.0  # volume.read_cost(extents), computed wherever the extents are written
 
     @property
     def allocated_clusters(self) -> int:
@@ -160,8 +163,7 @@ class ObjectStore:
             raise UsageError("object size must be > 0")
         extents = self._allocate(oid, size)
         rec = self._insert(ObjectRecord(id=oid, size=size, extents=extents))
-        self.clock.bytes_turned_over += size
-        self._account_write(size, extents)
+        self._account_write(rec)
         self._after_mutation()
         return rec
 
@@ -184,7 +186,7 @@ class ObjectStore:
         self._hook("forced")  # durability point for the temp copy; no-op here
         self._commit_replace(txn)
         self._hook("replaced")
-        self.volume.release(txn.old_extents, self.config.free_mode)
+        self._release(txn.old_extents)
         txn.old_extents = []   # nothing is left for recover() to roll forward
         self._hook("old_released")
         self._pending = None
@@ -200,8 +202,7 @@ class ObjectStore:
         self.clock.live_bytes += txn.new_size - rec.size
         rec.size = txn.new_size
         rec.generation += 1
-        self.clock.bytes_turned_over += txn.new_size
-        self._account_write(txn.new_size, txn.new_extents)
+        self._account_write(rec)
         txn.committed = True
 
     def _insert(self, rec: ObjectRecord) -> ObjectRecord:
@@ -214,7 +215,7 @@ class ObjectStore:
     def delete(self, oid: Hashable) -> None:
         rec = self._require(oid)
         self.volume.clear_markers(rec.extents)
-        self.volume.release(rec.extents, self.config.free_mode)
+        self._release(rec.extents)
         del self._records[oid]
         idx = self._pos.pop(oid)
         last = self._ids.pop()
@@ -242,7 +243,7 @@ class ObjectStore:
 
     def get(self, oid: Hashable) -> tuple[ObjectRecord, float]:
         rec = self._require(oid)
-        return rec, self.volume.read_cost(rec.extents)
+        return rec, rec.read_seconds
 
     def scan_layout(self) -> dict[Hashable, list[Extent]]:
         """Rebuild every object's extent list from the volume's owner runs alone.
@@ -325,6 +326,7 @@ class ObjectStore:
             volume.free.add(top, volume.total_clusters - top)
         for rec in self._records.values():
             rec.extents = self._write_runs(rec.id, coalesce((slid[e.offset], e.length) for e in rec.extents))
+            rec.read_seconds = volume.read_cost(rec.extents)
         return moved
 
     def take_write_interval(self) -> tuple[int, float]:
@@ -372,11 +374,22 @@ class ObjectStore:
             seq += ext.length
         return extents
 
-    def _account_write(self, size_bytes: int, extents: list[Extent]) -> None:
-        self._interval_bytes += size_bytes
-        self._interval_seconds += self.volume.read_cost(extents)
+    def _account_write(self, rec: ObjectRecord) -> None:
+        rec.read_seconds = self.volume.read_cost(rec.extents)
+        self.clock.bytes_turned_over += rec.size
+        self._interval_bytes += rec.size
+        self._interval_seconds += rec.read_seconds
+
+    def _release(self, extents: list[Extent]) -> None:
+        """Free an op's old extents; straight into the free set if its checkpoint is due and no hook looks."""
+        due = self.step_hook is None and self._ops_since_checkpoint + 1 >= self.config.checkpoint_every
+        if due and self.config.free_mode == "deferred":
+            self.volume.checkpoint()   # commit the earlier stages; releasing then is what staging would leave
+            self._ops_since_checkpoint = -1   # _after_mutation brings it to 0: this op's checkpoint is spent
+        self.volume.release(extents, "immediate" if due else self.config.free_mode)
 
     def _after_mutation(self) -> None:
+        """Count the op; commit deferred frees when checkpoint_every ops staged them (see _release)."""
         self._ops_since_checkpoint += 1
         if self.config.free_mode == "deferred" and self._ops_since_checkpoint >= self.config.checkpoint_every:
             self.checkpoint_now()
@@ -412,17 +425,22 @@ class ObjectStore:
             )
         config = store_config(parse(state["config"], "store"))
         store = cls(Volume.from_state(state["volume"]), config)
-        store.clock.bytes_turned_over = int(state["bytes_turned_over"])
+        turned = state["bytes_turned_over"]
+        if check_type(turned, int, "snapshot bytes_turned_over") < 0:
+            raise ConfigurationError(f"snapshot bytes_turned_over is {turned}; it must be >= 0")
+        store.clock.bytes_turned_over = turned
         for oid, size, generation, extents in state["objects"]:
             if oid in store:
                 raise ConfigurationError(f"snapshot lists object {oid!r} twice")
-            if int(size) < 1:
+            if check_type(size, int, f"snapshot object {oid!r} size") < 1:
                 raise ConfigurationError(f"snapshot object {oid!r} has size {size}; sizes must be >= 1")
-            if int(generation) < 0:
+            if check_type(generation, int, f"snapshot object {oid!r} generation") < 0:
                 raise ConfigurationError(f"snapshot object {oid!r} has generation {generation}; it must be >= 0")
-            extents = [Extent(int(o), int(l)) for o, l in extents]
-            store._insert(ObjectRecord(oid, int(size), extents, int(generation)))
+            extents = check_type(extents, [(int, int)], f"snapshot object {oid!r} extents")
+            store._insert(ObjectRecord(oid, size, [Extent(*ext) for ext in extents], generation))
         # a snapshot that loads is one that scans clean: the records must match the owner runs
         store.volume.audit()
         store.verify_layout()
+        for rec in store.records():
+            rec.read_seconds = store.volume.read_cost(rec.extents)
         return store

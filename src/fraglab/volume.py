@@ -24,7 +24,7 @@ from itertools import chain, islice, starmap
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, CorruptionError, InvariantViolationError
-from .schema import default, dump, parse
+from .schema import check_type, default, dump, parse
 
 DEFAULT_OUTER_RATE = 60e6   # bytes/second
 DEFAULT_INNER_RATE = 30e6
@@ -443,9 +443,10 @@ class Volume:
 
     def checkpoint(self) -> None:
         """Commit: every deferred run becomes reusable free space."""
-        for offset, length in self.deferred:
-            self.free.add(offset, length)
-        self.deferred.clear()
+        if self.deferred.total_free:   # at checkpoint_every 1 the stage is mostly empty
+            for offset, length in self.deferred:
+                self.free.add(offset, length)
+            self.deferred.clear()
 
     # -- owner runs ---------------------------------------------------------
 
@@ -582,20 +583,20 @@ class Volume:
     def from_state(cls, state: dict) -> "Volume":
         runs = ("free", "deferred", "owners")
         vol = create_volume(**parse({k: v for k, v in state.items() if k not in runs}, "volume"))
-        for name in runs[:2]:
-            for off, length in state[name]:
-                if not 0 <= int(off) < int(off) + int(length) <= vol.total_clusters:
-                    raise ConfigurationError(f"snapshot {name} run [{off}, {length}] lies outside"
-                                             f" the volume's {vol.total_clusters} clusters")
         vol.free.clear()
-        for off, length in state["free"]:
-            vol.free.add(int(off), int(length))
-        vol.release([Extent(int(o), int(n)) for o, n in state["deferred"]], "deferred")
+        for name, mode in zip(runs, ("immediate", "deferred")):
+            for off, length in check_type(state[name], [(int, int)], f"snapshot {name}"):
+                if length < 1 or not 0 <= off <= vol.total_clusters - length:
+                    why = "is empty" if length < 1 else f"lies outside the volume's {vol.total_clusters} clusters"
+                    raise ConfigurationError(f"snapshot {name} run [{off}, {length}] {why}")
+                vol.release([Extent(off, length)], mode)
         for off, length, key, seq in state["owners"]:
+            check_type((off, length, seq), (int, int, int),
+                       f"snapshot owner run {[off, length, key, seq]!r} (offset, length, seq)")
             if isinstance(key, (list, dict)):
                 raise ConfigurationError(f"snapshot owner run at cluster {off} has key {key!r};"
                                          " owner keys must be JSON scalars")
-            vol.set_owner(int(off), int(length), key, int(seq))
+            vol.set_owner(off, length, key, seq)
         return vol
 
 

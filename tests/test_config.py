@@ -119,6 +119,72 @@ MALFORMED = {
         json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(2, -3))),
         "snapshot object 0 has generation -3",
     ),
+    # snapshot numbers are JSON integers: a fraction, a boolean or a string is refused, never truncated
+    "snapshot_object_size_a_fraction": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(1, 1.5))),
+        "snapshot object 0 size must be an integer, not 1.5",
+    ),
+    "snapshot_object_size_a_boolean": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(1, True))),
+        "snapshot object 0 size must be an integer, not True",
+    ),
+    "snapshot_object_size_a_string": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(1, "7"))),
+        "snapshot object 0 size must be an integer, not '7'",
+    ),
+    "snapshot_object_generation_a_fraction": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(2, 0.5))),
+        "snapshot object 0 generation must be an integer, not 0.5",
+    ),
+    "snapshot_extent_length_a_fraction": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0][3][0].__setitem__(1, 32.5))),
+        "snapshot object 0 extents[0][1] must be an integer, not 32.5",
+    ),
+    "snapshot_free_run_offset_a_fraction": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["free"][0].__setitem__(0, 1280.5))),
+        "snapshot free[0][0] must be an integer, not 1280.5",
+    ),
+    "snapshot_deferred_run_length_a_boolean": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["deferred"].append([1300, True]))),
+        "snapshot deferred[0][1] must be an integer, not True",
+    ),
+    "snapshot_owner_seq_a_fraction": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["owners"][1].__setitem__(3, 0.5))),
+        "snapshot owner run [32, 32, 1, 0.5] (offset, length, seq)[2] must be an integer, not 0.5",
+    ),
+    "snapshot_owner_offset_a_string": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["owners"][1].__setitem__(0, "32"))),
+        "(offset, length, seq)[0] must be an integer, not '32'",
+    ),
+    "snapshot_turnover_a_fraction": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s.update(bytes_turned_over=1.5))),
+        "snapshot bytes_turned_over must be an integer, not 1.5",
+    ),
+    "snapshot_turnover_negative": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s.update(bytes_turned_over=-1))),
+        "snapshot bytes_turned_over is -1; it must be >= 0",
+    ),
+    "snapshot_free_run_empty": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["free"].append([2047, 0]))),
+        "snapshot free run [2047, 0] is empty",
+    ),
+    "snapshot_free_run_empty_past_the_end": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["free"].append([4095, 0]))),
+        "snapshot free run [4095, 0] is empty",
+    ),
     "snapshot_owner_key_not_a_scalar": (
         ("scan",),
         json.dumps(edit(snapshot_state(), lambda s: s["volume"]["owners"][0].__setitem__(2, [0, 1]))),

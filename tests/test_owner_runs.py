@@ -9,6 +9,11 @@ equal the reference marker map, and they must be one run per extent of the
 records (and of an unfinished temp copy); between operations scan_layout()
 must equal the reference layout, the records must agree with it, and the
 deep audit must pass.
+
+The same op sequences also run on two stores with deferred frees, one
+without a step hook (an op whose checkpoint falls due frees straight into
+the free set) and one with a no-op hook (every free is staged); after each
+op their free, deferred and owner runs, records and policy state must match.
 """
 
 import pytest
@@ -146,3 +151,53 @@ def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every,
             assert list(store.volume.free) == [(len(live), TOTAL - len(live))][:TOTAL - len(live)]
             assert store.volume.deferred_clusters == 0
         _check(store, model)
+
+
+
+def _store_state(store):
+    """Everything a due checkpoint's direct release could change, compared between two stores."""
+    volume = store.volume
+    return (list(volume.free), list(volume.deferred), dict(volume.owners),
+            [(rec.id, rec.size, rec.generation, rec.extents, rec.read_seconds) for rec in store.records()],
+            list(store._ids), store._ops_since_checkpoint, store.clock,
+            (store._interval_bytes, store._interval_seconds), vars(store.config.policy))
+
+
+def _apply(store, op, next_id):
+    """Run one op; returns what compact() moved, or the no-space message, or None."""
+    try:
+        if op[0] == "put":
+            store.put_new(next_id, op[1])
+        elif op[0] == "safe_write" and len(store):
+            store.safe_write(store.id_at(op[1] % len(store)), op[2])
+        elif op[0] == "delete" and len(store):
+            store.delete(store.id_at(op[1] % len(store)))
+        elif op[0] == "checkpoint":
+            store.checkpoint_now()
+        elif op[0] == "compact":
+            return store.compact()
+    except NoSpaceError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("checkpoint_every", [1, 3])
+@pytest.mark.parametrize("kind", ["first_fit", "best_fit", "worst_fit", "buddy", "ntfs_like", "log_append"])
+@settings(max_examples=20, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(ops=ops)
+def test_direct_release_at_a_due_checkpoint_matches_the_staged_path(kind, checkpoint_every, ops):
+    """A store without a step hook frees straight into the free set when an op's checkpoint falls
+    due; one with a no-op hook stages every release.  After each op the two must be equal."""
+    stores = []
+    for hook in (None, lambda _step: None):
+        volume = create_volume(TOTAL, CLUSTER, [Band(0, TOTAL // 2, 60e6), Band(TOTAL // 2, TOTAL, 30e6)])
+        store = ObjectStore(volume, StoreConfig(policy=make_policy(kind, fragmenting=kind != "buddy"),
+                                                write_request_size=4 * CLUSTER, free_mode="deferred",
+                                                checkpoint_every=checkpoint_every))
+        store.step_hook = hook
+        stores.append(store)
+    for next_id, op in enumerate(ops):
+        assert _apply(stores[0], op, next_id) == _apply(stores[1], op, next_id)
+        assert _store_state(stores[0]) == _store_state(stores[1])
+        stores[0].volume.audit(deep=True)
+        stores[0].verify_layout()

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import drive_mixed_ops
+from fraglab import harness
 from fraglab.alloc import BestFitPolicy, FirstFitPolicy, NtfsLikePolicy, make_policy
 from fraglab.errors import (
     CorruptionError,
@@ -13,6 +14,7 @@ from fraglab.errors import (
 from fraglab.metrics import fragments_of
 from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
 from fraglab.volume import Band, Extent, create_volume
+from fraglab.workload import bulk_load, run_to_age
 from linear_alloc import LINEAR_POLICIES, PerRequestStore, linear_volume, per_request_plan
 
 KB = 1024
@@ -268,6 +270,24 @@ class TestSafeWrite:
         committed = abort_step in ("replaced", "old_released")
         assert rec.generation == gen_before + (1 if committed else 0)
 
+    def test_abort_at_old_released_keeps_the_old_extents_deferred_at_cadence_one(self):
+        """The op's checkpoint is due, but a step hook keeps the release staged: after an abort
+        at old_released and recovery the old extents are still deferred, and no put takes them."""
+        store = make_store(checkpoint_every=1, free_mode="deferred")
+        store.put_new("a", 16 * 4096)
+        old = list(store._records["a"].extents)
+        store.step_hook = _abort_at("old_released")
+        with pytest.raises(SimulatedAbortError):
+            store.safe_write("a", 16 * 4096)
+        store.step_hook = None
+        store.recover()
+        assert list(store.volume.deferred.runs()) == old
+        rec = store.put_new("b", 16 * 4096)   # first fit takes the lowest free clusters
+        old_clusters = {c for ext in old for c in range(ext.offset, ext.end)}
+        assert old_clusters.isdisjoint(c for ext in rec.extents for c in range(ext.offset, ext.end))
+        store.volume.audit(deep=True)
+        store.verify_layout()
+
     def test_recover_is_idempotent_noop_when_clean(self):
         store = make_store()
         store.put_new("a", 4096)
@@ -484,6 +504,38 @@ def _abort_at(step):
             raise SimulatedAbortError(name)
 
     return hook
+
+
+def _check_read_costs(store):
+    for rec in store.records():
+        cost = store.volume.read_cost(rec.extents)
+        assert rec.read_seconds == cost
+        assert store.get(rec.id) == (rec, cost)
+
+
+def test_records_keep_the_read_cost_of_their_extents():
+    """Each record's read_seconds is read_cost of its extents after every way they are written:
+    bulk load, aging, a delete, a log_append cleaner pass and a snapshot reload."""
+    config = harness.ExperimentConfig.from_dict({
+        "volume": {"total_clusters": 2048, "bands": [[0, 1024, 60e6], [1024, 2048, 30e6]]},
+        "store": {"policy": {"kind": "log_append"}},
+        "workload": {"n_objects": 24, "size_dist": {"kind": "uniform", "mean": 128 * KB, "half_width": 96 * KB},
+                     "target_age": 3.0, "seed": 11},
+    })
+    store = config.build()
+    bulk_load(store, config.workload)
+    _check_read_costs(store)
+    run_to_age(store, config.workload)
+    assert store.config.policy.clusters_moved > 0   # the cleaner ran while aging
+    _check_read_costs(store)
+    store.delete(store.id_at(0))
+    store.delete(store.id_at(5))
+    _check_read_costs(store)
+    assert store.compact() > 0
+    _check_read_costs(store)
+    reloaded = ObjectStore.from_state(store.to_state())
+    _check_read_costs(reloaded)
+    assert [rec.read_seconds for rec in reloaded.records()] == [rec.read_seconds for rec in store.records()]
 
 
 def test_snapshot_round_trip():
