@@ -40,6 +40,8 @@ from .volume import Extent, Volume, coalesce
 if TYPE_CHECKING:
     from .store import ObjectStore
 
+Pieces = list[tuple[int, int]]   # (offset, length) pieces, until alloc's coalesce makes Extents of them
+
 
 class AllocPolicy:
     """Base policy: the fragmenting flag and the store-facing hooks."""
@@ -52,7 +54,7 @@ class AllocPolicy:
         """Serve one object write's (clusters, count) requests (see the module's contracts)."""
         if any(clusters < 1 or count < 1 for clusters, count in requests):
             raise UsageError("allocation request must be >= 1 cluster, and its count >= 1")
-        pieces: list[Extent] = []
+        pieces: Pieces = []
         try:
             for clusters, count in requests:
                 while count:
@@ -64,7 +66,7 @@ class AllocPolicy:
             raise
         return coalesce(pieces)
 
-    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[Pieces, int]:
         """Serve the next 1..count requests; return their pieces and how many were served."""
         raise NotImplementedError
 
@@ -75,9 +77,11 @@ class AllocPolicy:
         """Called when a store is built; raises if the policy cannot run on the volume."""
 
 
-def _take_plan(volume: Volume, plan: list[tuple[int, int]]) -> list[Extent]:
-    """Take each (offset, length) piece of a plan out of the free set."""
-    return [Extent(volume.free.take(offset, length), length) for offset, length in plan]
+def _take_plan(volume: Volume, plan: Pieces) -> Pieces:
+    """Take each (offset, length) piece of a plan out of the free set; return the plan."""
+    for offset, length in plan:
+        volume.free.take(offset, length)
+    return plan
 
 
 def _no_space(volume: Volume, clusters: int, why: str | None = None) -> NoSpaceError:
@@ -98,11 +102,11 @@ class FitPolicy(AllocPolicy):
     def __init__(self, fragmenting: bool = False):
         self.fragmenting = fragmenting
 
-    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[Pieces, int]:
         got = getattr(volume.free, self.fit)(clusters, count)
         if got is not None:
             offset, n = got
-            return [Extent(offset, n * clusters)], n
+            return [(offset, n * clusters)], n
         if not self.fragmenting or volume.free.total_free < clusters:
             raise _no_space(volume, clusters)
         return _take_plan(volume, getattr(volume.free, self.plan)(clusters)), 1
@@ -152,14 +156,14 @@ class BuddyPolicy(AllocPolicy):
             raise ConfigurationError(f"buddy min_order {self.min_order} exceeds the volume's"
                                      f" largest block order {n.bit_length() - 1}")
 
-    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[Pieces, int]:
         order = max((clusters - 1).bit_length(), self.min_order)
         block = 1 << order
         offset = volume.free.aligned_block(block)
         if offset is None:
             raise _no_space(volume, block, f"no free buddy block of {block} clusters")
         self.internal_frag_clusters += block - clusters
-        return [Extent(offset, block)], 1
+        return [(offset, block)], 1
 
 
 class NtfsLikePolicy(AllocPolicy):
@@ -177,11 +181,12 @@ class NtfsLikePolicy(AllocPolicy):
     Stage 3: fragment, taking whole runs largest-first from the full free
              set; the cache is rebuilt afterwards.
 
-    Cache entries are validated against the live free set once per
-    allocation: an entry whose run has moved or vanished is dropped, one
-    whose run shrank is cut to it, and one whose run has grown keeps its
-    cached (smaller) size, since the cache does not see frees.  Frees under this policy must be
-    deferred (reuse waits for the commit); the store enforces that.
+    Cache entries are validated against the live free set once per alloc
+    call (one object write): an entry whose run has moved or vanished is
+    dropped, one whose run shrank is cut to it, and one whose run has grown
+    keeps its cached (smaller) size, since the cache does not see frees.
+    Frees under this policy must be deferred (reuse waits for the commit);
+    the store enforces that.
     """
 
     kind = "ntfs_like"
@@ -216,19 +221,24 @@ class NtfsLikePolicy(AllocPolicy):
             return min(outer, key=lambda entry: entry[0])
         return max(fits, key=lambda entry: (entry[1], -entry[0]), default=None)
 
-    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+    def alloc(self, volume: Volume, requests: list[tuple[int, int]]) -> list[Extent]:
+        """Validate the cache once, then serve the requests: within one call only the
+        requests' own takes, each off the front of its entry's run, change the free set."""
         self._validate_cache(volume)
+        return super().alloc(volume, requests)
+
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[Pieces, int]:
         entry = self._pick(volume, clusters)
         if entry is None:
             self._refresh_cache(volume)   # fresh from the free set: nothing to validate
             entry = self._pick(volume, clusters)
         if entry is not None:
-            volume.free.take(entry[0], clusters)
+            offset = volume.free.take(entry[0], clusters)
             entry[0] += clusters
             entry[1] -= clusters
             if entry[1] == 0:
                 self._cache.remove(entry)
-            return [Extent(entry[0] - clusters, clusters)], 1
+            return [(offset, clusters)], 1
         if volume.free.total_free < clusters:
             raise _no_space(volume, clusters)
         extents = _take_plan(volume, volume.free.largest_first_plan(clusters))
@@ -268,14 +278,14 @@ class LogAppendPolicy(AllocPolicy):
             return [(head, ahead), (0, clusters - ahead)]
         return None
 
-    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[list[Extent], int]:
+    def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[Pieces, int]:
         plan = self._head_plan(volume, clusters)
         if plan is None:
             raise _no_space(volume, clusters, f"log head has no room for {clusters} clusters before"
                             " the next live extent; a cleaner pass is required")
-        extents = _take_plan(volume, plan)
-        self.head = extents[-1].end % volume.total_clusters
-        return extents, 1
+        pieces = _take_plan(volume, plan)
+        self.head = sum(pieces[-1]) % volume.total_clusters   # the end of the last piece
+        return pieces, 1
 
     def prepare(self, store: "ObjectStore", clusters: int) -> None:
         """Make room at the head for a whole object before any of it is written."""

@@ -182,13 +182,17 @@ class ObjectStore:
         new_extents = self._allocate(temp_key, new_size)
         # making room may have moved objects (a cleaner pass), so the old extents are read now
         txn = self._pending = _ReplaceTxn(oid, new_size, rec.extents, temp_key, new_extents)
-        self._hook("temp_written")
-        self._hook("forced")  # durability point for the temp copy; no-op here
+        hook = self.step_hook   # the hook installed as the write starts sees each of its steps
+        if hook is not None:
+            hook("temp_written")
+            hook("forced")  # durability point for the temp copy; no-op here
         self._commit_replace(txn)
-        self._hook("replaced")
+        if hook is not None:
+            hook("replaced")
         self._release(txn.old_extents)
         txn.old_extents = []   # nothing is left for recover() to roll forward
-        self._hook("old_released")
+        if hook is not None:
+            hook("old_released")
         self._pending = None
         self._after_mutation()
         return rec
@@ -393,10 +397,6 @@ class ObjectStore:
         self._ops_since_checkpoint += 1
         if self.config.free_mode == "deferred" and self._ops_since_checkpoint >= self.config.checkpoint_every:
             self.checkpoint_now()
-
-    def _hook(self, step: str) -> None:
-        if self.step_hook is not None:
-            self.step_hook(step)
 
     # -- snapshots -------------------------------------------------------------
 

@@ -284,12 +284,17 @@ class FreeExtentIndex:
     # -- mutation -------------------------------------------------------------------
 
     def add(self, offset: int, length: int) -> None:
-        """Insert a run, merging with adjacent neighbours.  Overlap is a bug."""
+        """Insert a run, merging with adjacent neighbours.  Overlap is a bug, refused before any change."""
         if length < 1 or offset < 0:
             raise InvariantViolationError(f"bad free run ({offset},{length})")
         end = offset + length
-        nxt = self._before(end)
-        prev = self._before(end - 1) if nxt is not None and nxt[2] == end else nxt
+        nxt = prev = self._before(end)
+        if nxt is not None and nxt[2] == end:   # the left neighbour is the run before it
+            ci, j = nxt[0], nxt[1] - 1
+            if j < 0 and ci:
+                ci -= 1
+                j = len(self._offs[ci]) - 1
+            prev = (ci, j, self._offs[ci][j], self._lens[ci][j]) if j >= 0 else None
         if prev is not None and prev[2] + prev[3] > offset:
             raise InvariantViolationError(f"double free: ({offset},{length}) overlaps a free run")
         self.total_free += length
@@ -420,26 +425,35 @@ class Volume:
 
     # -- allocation-side bookkeeping -------------------------------------
 
-    def release(self, extents: Iterable[Extent], mode: str = "immediate") -> None:
-        """Return extents to the pool.
+    def release(self, extents: Iterable[tuple[int, int]], mode: str = "immediate") -> None:
+        """Return (offset, length) extents to the pool, in order.
 
         immediate: coalesce into the free set now.
         deferred:  stage until the next checkpoint; the clusters stay
                    unallocatable and unreusable in between.
 
         Releasing a cluster that is already free or deferred is a simulator
-        bug and aborts the run.
+        bug and aborts the run, the refused extent left where it was: it is
+        checked once, against the set it does not go into, and the set it goes
+        into refuses in add an overlap with its own runs before changing them.
         """
         if mode not in ("immediate", "deferred"):
             raise InvariantViolationError(f"unknown release mode {mode!r}")
-        for ext in extents:
-            if ext.length < 1 or ext.offset < 0 or ext.end > self.total_clusters:
-                raise InvariantViolationError(f"release of malformed extent {ext}")
-            if self.free.intersects(ext.offset, ext.length):
-                raise InvariantViolationError(f"release of non-allocated extent {ext}")
-            if self.deferred.intersects(ext.offset, ext.length):
-                raise InvariantViolationError(f"release of deferred extent {ext}")
-            (self.free if mode == "immediate" else self.deferred).add(ext.offset, ext.length)
+        into, other = (self.free, self.deferred) if mode == "immediate" else (self.deferred, self.free)
+        for offset, length in extents:
+            if length < 1 or offset < 0 or offset + length > self.total_clusters:
+                raise InvariantViolationError(f"release of malformed extent {Extent(offset, length)}")
+            if other.intersects(offset, length):
+                raise self._refusal(other, offset, length)
+            try:
+                into.add(offset, length)
+            except InvariantViolationError:
+                raise self._refusal(into, offset, length) from None
+
+    def _refusal(self, runs: FreeExtentIndex, offset: int, length: int) -> InvariantViolationError:
+        """The error for a release of an extent that overlaps the free or the deferred runs."""
+        what = "non-allocated" if runs is self.free else "deferred"
+        return InvariantViolationError(f"release of {what} extent {Extent(offset, length)}")
 
     def checkpoint(self) -> None:
         """Commit: every deferred run becomes reusable free space."""
@@ -490,28 +504,28 @@ class Volume:
         if not extents:
             raise InvariantViolationError("read_cost of an empty extent list")
         seeks = 1
-        prev_end = extents[0].offset
+        prev_end = extents[0][0]
         transfer = 0.0
-        for ext in extents:
-            if ext.offset != prev_end:
+        for offset, length in extents:
+            if offset != prev_end:
                 seeks += 1
-            prev_end = ext.end
-            transfer += self._transfer_seconds(ext)
+            prev_end = offset + length
+            transfer += self._transfer_seconds(offset, length)
         return self.seek_time * seeks + transfer
 
-    def _transfer_seconds(self, ext: Extent) -> float:
+    def _transfer_seconds(self, offset: int, length: int) -> float:
+        """Seconds to transfer [offset, offset+length): per band it covers, in address order,
+        its clusters there times the cluster size over the band's rate, summed from 0.0."""
         seconds = 0.0
-        offset = ext.offset
-        remaining = ext.length
         for band in self.bands:
             if offset >= band.end_cluster:
                 continue
-            span = min(remaining, band.end_cluster - offset)
+            if offset + length <= band.end_cluster:
+                return seconds + length * self.cluster_size / band.transfer_rate
+            span = band.end_cluster - offset
             seconds += span * self.cluster_size / band.transfer_rate
             offset += span
-            remaining -= span
-            if remaining == 0:
-                break
+            length -= span
         return seconds
 
     # -- measurement and auditing -------------------------------------------
@@ -589,7 +603,7 @@ class Volume:
                 if length < 1 or not 0 <= off <= vol.total_clusters - length:
                     why = "is empty" if length < 1 else f"lies outside the volume's {vol.total_clusters} clusters"
                     raise ConfigurationError(f"snapshot {name} run [{off}, {length}] {why}")
-                vol.release([Extent(off, length)], mode)
+                vol.release([(off, length)], mode)
         for off, length, key, seq in state["owners"]:
             check_type((off, length, seq), (int, int, int),
                        f"snapshot owner run {[off, length, key, seq]!r} (offset, length, seq)")

@@ -489,6 +489,19 @@ class TestScanner:
         drive_mixed_ops(store, seed=3, n_ops=300, size_range=(16 * KB, 512 * KB), scan_every=25)
 
 
+@pytest.mark.parametrize("kind", ["first_fit", "best_fit", "worst_fit", "buddy", "ntfs_like", "log_append"])
+def test_records_hold_extents_after_mixed_ops(kind):
+    """Policies hand alloc plain (offset, length) pieces; the records must still hold Extents,
+    whose .end the metrics read."""
+    store = make_store(policy=make_policy(kind, fragmenting=kind != "buddy"),
+                       write_request_size=64 * KB, free_mode="deferred")
+    drive_mixed_ops(store, seed=7, n_ops=150, size_range=(16 * KB, 512 * KB), scan_every=0)
+    assert len(store)
+    for rec in store.records():
+        assert rec.extents and all(isinstance(ext, Extent) for ext in rec.extents)
+        assert fragments_of(rec) >= 1
+
+
 class TestFragmentBound:
     def test_fragments_never_exceed_appends_plus_tail(self):
         store = make_store(total=8192, write_request_size=64 * KB)

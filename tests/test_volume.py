@@ -98,6 +98,28 @@ class TestRelease:
         assert list(vol.free) == list(twin.free) == [(0, 10), (20, 5), (30, 70)]
         assert vol.deferred_clusters == 0
 
+    @pytest.mark.parametrize("mode", ["immediate", "deferred"])
+    @pytest.mark.parametrize("runs, extent", [
+        ("free", Extent(58, 4)),       # over the start of the free run (60, 40)
+        ("free", Extent(44, 16)),      # ends where (60, 40) starts, over the free run (40, 5) before it
+        ("deferred", Extent(28, 4)),   # over the end of the deferred run (20, 10)
+        ("deferred", Extent(14, 6)),   # ends where (20, 10) starts, over the deferred run (10, 5) before it
+    ])
+    def test_a_refused_release_changes_no_run(self, flat_volume, mode, runs, extent):
+        """In either mode, an extent over a free or a deferred run is refused with the message
+        naming that set, and the free and deferred runs stay as they were."""
+        vol = flat_volume
+        vol.free.take(0, 60)
+        vol.release([Extent(40, 5)], "immediate")
+        vol.release([Extent(10, 5), Extent(20, 10)], "deferred")
+        before = (list(vol.free), vol.free_clusters, list(vol.deferred), vol.deferred_clusters)
+        what = "non-allocated" if runs == "free" else "deferred"
+        with pytest.raises(InvariantViolationError, match=f"release of {what} extent"):
+            vol.release([extent], mode)
+        assert (list(vol.free), vol.free_clusters, list(vol.deferred), vol.deferred_clusters) == before
+        vol.free.check()
+        vol.deferred.check()
+
 
 class TestCheckpoint:
     def test_checkpoint_commits_deferred(self, flat_volume):
@@ -163,6 +185,58 @@ class TestReadCost:
         cost = vol.read_cost([Extent(40, 20)])
         expected = 10 * 4096 / 60e6 + 10 * 4096 / 30e6
         assert cost == pytest.approx(expected)
+
+
+def band_loop_read_cost(volume, extents):
+    """read_cost with every extent priced by the loop over the bands: the reference that its
+    shortcut for an extent inside one band must equal bit for bit."""
+    seeks = 1
+    prev_end = extents[0].offset
+    transfer = 0.0
+    for ext in extents:
+        if ext.offset != prev_end:
+            seeks += 1
+        prev_end = ext.end
+        seconds = 0.0
+        offset = ext.offset
+        remaining = ext.length
+        for band in volume.bands:
+            if offset >= band.end_cluster:
+                continue
+            span = min(remaining, band.end_cluster - offset)
+            seconds += span * volume.cluster_size / band.transfer_rate
+            offset += span
+            remaining -= span
+            if remaining == 0:
+                break
+        transfer += seconds
+    return volume.seek_time * seeks + transfer
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_read_cost_equals_the_band_loop_exactly(data):
+    """Layouts of 1-3 bands, with an extent across each band boundary and one that ends at
+    the last cluster beside random extents, in shuffled order."""
+    total = data.draw(st.integers(2, 5000))
+    cuts = sorted(data.draw(st.sets(st.integers(1, total - 1), max_size=2)))
+    rates = sorted(data.draw(st.lists(st.floats(1e3, 1e9), min_size=len(cuts) + 1,
+                                      max_size=len(cuts) + 1)), reverse=True)
+    edges = [0] + cuts + [total]
+    vol = create_volume(total, data.draw(st.sampled_from([512, 4096, 65536])),
+                        [Band(start, end, rate) for start, end, rate in zip(edges, edges[1:], rates)],
+                        seek_time=data.draw(st.floats(0, 0.02)))
+    extents = []
+    for cut in cuts:   # from inside the band before the cut to inside, or the end of, a later one
+        offset = data.draw(st.integers(0, cut - 1))
+        extents.append(Extent(offset, data.draw(st.integers(cut + 1, total)) - offset))
+    start = data.draw(st.integers(0, total - 1))
+    extents.append(Extent(start, total - start))   # ends at the last cluster
+    for _ in range(data.draw(st.integers(0, 4))):
+        offset = data.draw(st.integers(0, total - 1))
+        extents.append(Extent(offset, data.draw(st.integers(1, total - offset))))
+    extents = data.draw(st.permutations(extents))
+    assert vol.read_cost(extents) == band_loop_read_cost(vol, extents)
 
 
 class TestHistogram:
