@@ -108,65 +108,20 @@ def _cover(runs: Iterable[tuple[int, int]], k: int) -> list[tuple[int, int]]:
 CHUNK = 32
 
 
-class _SortedChunks:
-    """A sorted list kept as chunks of up to 2 * CHUNK items, so an update moves O(sqrt n)."""
-
-    __slots__ = ("chunks", "firsts")
-
-    def __init__(self, items: Iterable) -> None:
-        items = sorted(items)
-        self.chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
-        self.firsts = [chunk[0] for chunk in self.chunks]
-
-    def __reversed__(self) -> Iterator:
-        return chain.from_iterable(map(reversed, reversed(self.chunks)))
-
-    def _chunk(self, item) -> int:
-        """The chunk that holds item, or would: the last whose first is <= item, else 0."""
-        return max(bisect_right(self.firsts, item) - 1, 0)
-
-    def add(self, item) -> None:
-        if not self.chunks:
-            self.chunks.append([])
-            self.firsts.append(item)
-        ci = self._chunk(item)
-        chunk = self.chunks[ci]
-        insort(chunk, item)
-        self.firsts[ci] = chunk[0]
-        if len(chunk) > 2 * CHUNK:
-            self.chunks.insert(ci + 1, chunk[CHUNK:])
-            self.firsts.insert(ci + 1, chunk[CHUNK])
-            del chunk[CHUNK:]
-
-    def remove(self, item) -> None:
-        ci = self._chunk(item)
-        chunk = self.chunks[ci]
-        del chunk[bisect_left(chunk, item)]
-        if chunk:
-            self.firsts[ci] = chunk[0]
-        else:
-            del self.chunks[ci], self.firsts[ci]
-
-    def ceiling(self, item):
-        """The least item >= item, or None."""
-        ci = self._chunk(item)
-        for chunk in self.chunks[ci:ci + 2]:
-            j = bisect_left(chunk, item)
-            if j < len(chunk):
-                return chunk[j]
-        return None
-
-
 class FreeExtentIndex:
     """Coalesced free runs (no two adjacent), answering the allocators' queries.
 
     Address order is a blocked list: chunks of up to 2 * CHUNK runs, each with
     its first offset (_firsts) and longest run (_maxes); a lookup bisects the
     firsts, then the chunk, and first fit and the buddy search skip chunks
-    whose longest run is too short.  Size order is (length, offset) pairs in
-    the same kind of chunks, for best fit, worst fit and top(), built on
-    first use, so first fit never pays for it; until then best fit scans a
-    lone chunk, which is cheaper while a bulk load carves up one run.
+    whose longest run is too short.  Size order, for best fit, worst fit,
+    top() and the largest-first plan, is the distinct lengths, sorted
+    (_lengths), and for each length the sorted offsets of its runs
+    (_by_length): segregated fits with exact size classes.  Distinct lengths
+    stay few (d of them need d(d+1)/2 free clusters), so a fit bisects a
+    short list, and an update edits one offset list.  It is built on first
+    use, so first fit never pays for it; until then best fit scans a lone
+    chunk, which is cheaper while a bulk load carves up one run.
     The fits serve up to `count` requests of k clusters each and return
     (offset, requests served), aligned_block returns the offset it took; both
     give None when nothing fits, and ties go to the lowest offset.  Only they,
@@ -174,7 +129,7 @@ class FreeExtentIndex:
     code that keeps the firsts, maxima and size order current.
     """
 
-    __slots__ = ("_offs", "_lens", "_firsts", "_maxes", "_sizes", "total_free")
+    __slots__ = ("_offs", "_lens", "_firsts", "_maxes", "_lengths", "_by_length", "total_free")
 
     def __init__(self) -> None:
         self.clear()
@@ -184,7 +139,8 @@ class FreeExtentIndex:
         self._lens: list[list[int]] = []
         self._firsts: list[int] = []
         self._maxes: list[int] = []
-        self._sizes: _SortedChunks | None = None
+        self._lengths: list[int] | None = None   # None: the size order is not built
+        self._by_length: dict[int, list[int]] = {}
         self.total_free = 0
 
     def __len__(self) -> int:
@@ -238,24 +194,26 @@ class FreeExtentIndex:
     def best_fit(self, k: int, count: int = 1) -> tuple[int, int] | None:
         """As first_fit, from the shortest run that holds k (ties to the lowest offset): what
         is left of it stays that run, since no other run is at least k and shorter than it was."""
-        if self._sizes is None and len(self._maxes) == 1:   # one chunk, as in a bulk load: scan it
+        if self._lengths is None and len(self._maxes) == 1:   # one chunk, as in a bulk load: scan it
             lens = self._lens[0]
             best = None
             for j, length in enumerate(lens):
                 if k <= length and (best is None or length < lens[best]):
                     best = j
             return None if best is None else self._take_front(0, best, k, count)
-        pair = self._by_size().ceiling((k, -1))
-        return None if pair is None else self._take_front(*self._before(pair[1])[:2], k, count)
+        lengths = self._by_size()
+        i = bisect_left(lengths, k)
+        if i == len(lengths):
+            return None
+        return self._take_front(*self._before(self._by_length[lengths[i]][0])[:2], k, count)
 
     def worst_fit(self, k: int, count: int = 1) -> tuple[int, int] | None:
         """Take k clusters off the front of the longest run, if it holds them; (offset, 1).
         One request whatever count asks: the shortened run may no longer be the longest."""
-        sizes = self._by_size()
-        longest = next(reversed(sizes), None)
-        if longest is None or longest[0] < k:
+        lengths = self._by_size()
+        if not lengths or lengths[-1] < k:
             return None
-        return self._take_front(*self._before(sizes.ceiling((longest[0], -1))[1])[:2], k, 1)
+        return self._take_front(*self._before(self._by_length[lengths[-1]][0])[:2], k, 1)
 
     def aligned_block(self, block: int) -> int | None:
         """Take the lowest free block of `block` clusters that starts at a multiple of block."""
@@ -275,11 +233,15 @@ class FreeExtentIndex:
 
     def largest_first_plan(self, k: int) -> list[tuple[int, int]]:
         """Pieces of k <= total_free clusters: whole runs longest first, ties to low offsets."""
-        return _cover(sorted(self, key=lambda run: -run[1]), k)   # a stable sort
+        by_length = self._by_length
+        return _cover(((offset, length) for length in reversed(self._by_size())
+                       for offset in by_length[length]), k)
 
     def top(self, n: int) -> list[tuple[int, int]]:
         """(length, offset) of the n longest runs, longest first, ties toward high offsets."""
-        return list(islice(reversed(self._by_size()), n))
+        by_length = self._by_length
+        return list(islice(((length, offset) for length in reversed(self._by_size())
+                            for offset in reversed(by_length[length])), n))
 
     # -- mutation -------------------------------------------------------------------
 
@@ -343,17 +305,29 @@ class FreeExtentIndex:
             self._offs, self._lens, self._firsts, self._maxes = [[]], [[]], [0], [0]
         offs, lens = self._offs[ci], self._lens[ci]
         gone = lens[j] if removed else 0
-        sizes = self._sizes
-        if sizes is not None:
+        lengths = self._lengths
+        if lengths is not None:
+            by_length = self._by_length
             if removed:
-                sizes.remove((gone, offs[j]))
+                same = by_length[gone]
+                del same[bisect_left(same, offs[j])]
+                if not same:
+                    del by_length[gone], lengths[bisect_left(lengths, gone)]
             for offset, length in pieces:
-                sizes.add((length, offset))
+                same = by_length.get(length)
+                if same is None:
+                    by_length[length] = [offset]
+                    insort(lengths, length)
+                else:
+                    insort(same, offset)
         if removed == len(pieces) == 1:   # the fits' hot path: a run changes in place
             offs[j], lens[j] = pieces[0]
         else:
-            offs[j:j + removed] = [offset for offset, _length in pieces]
-            lens[j:j + removed] = [length for _offset, length in pieces]
+            if removed:
+                del offs[j], lens[j]
+            for offset, length in reversed(pieces):
+                offs.insert(j, offset)
+                lens.insert(j, length)
             if not offs:
                 del self._offs[ci], self._lens[ci], self._firsts[ci], self._maxes[ci]
                 return
@@ -373,10 +347,15 @@ class FreeExtentIndex:
                 if length > longest:
                     self._maxes[ci] = longest = length
 
-    def _by_size(self) -> _SortedChunks:
-        if self._sizes is None:
-            self._sizes = _SortedChunks((length, offset) for offset, length in self)
-        return self._sizes
+    def _by_size(self) -> list[int]:
+        """The distinct lengths, sorted, building the size order on first use: runs come in
+        address order, so appending keeps each length's offsets sorted."""
+        if self._lengths is None:
+            by_length = self._by_length
+            for offset, length in self:
+                by_length.setdefault(length, []).append(offset)
+            self._lengths = sorted(by_length)
+        return self._lengths
 
     def check(self) -> None:
         """Recount everything the index keeps; raise on any inconsistency."""
@@ -388,9 +367,10 @@ class FreeExtentIndex:
             raise InvariantViolationError("free runs overlap, touch or are out of order")
         if sum(n for _o, n in runs) != self.total_free:
             raise InvariantViolationError("free-set total drifted from its runs")
-        sizes = self._sizes
-        if sizes is not None and (list(chain.from_iterable(sizes.chunks)) != sorted((n, o) for o, n in runs)
-                                  or sizes.firsts != [chunk[0] for chunk in sizes.chunks] or not all(sizes.chunks)):
+        lengths, by_length = self._lengths, self._by_length
+        if lengths is not None and (lengths != sorted(by_length) or not all(by_length.values())
+                                    or [(n, o) for n in lengths for o in by_length[n]]
+                                    != sorted((n, o) for o, n in runs)):
             raise InvariantViolationError("the free runs' size order is stale")
 
 
@@ -434,8 +414,9 @@ class Volume:
 
         Releasing a cluster that is already free or deferred is a simulator
         bug and aborts the run, the refused extent left where it was: it is
-        checked once, against the set it does not go into, and the set it goes
-        into refuses in add an overlap with its own runs before changing them.
+        checked once, against the set it does not go into (unless that set is
+        empty), and the set it goes into refuses in add an overlap with its own
+        runs before changing them.
         """
         if mode not in ("immediate", "deferred"):
             raise InvariantViolationError(f"unknown release mode {mode!r}")
@@ -443,7 +424,7 @@ class Volume:
         for offset, length in extents:
             if length < 1 or offset < 0 or offset + length > self.total_clusters:
                 raise InvariantViolationError(f"release of malformed extent {Extent(offset, length)}")
-            if other.intersects(offset, length):
+            if other.total_free and other.intersects(offset, length):
                 raise self._refusal(other, offset, length)
             try:
                 into.add(offset, length)

@@ -7,6 +7,7 @@ volume shrink the chunk size, so that chunk splits, chunk deletions and
 merges across a chunk boundary happen within a few dozen operations.
 """
 
+from bisect import insort
 from unittest import mock
 
 import pytest
@@ -195,6 +196,66 @@ def test_a_split_recounts_the_longest_run_of_the_half_that_lost_it(chunk):
             index.add(off, 1)
         index.add(4 * chunk + 1, 5)   # one run more splits it, and the longest goes to the tail
         assert index._maxes == [1, 5]
+        index.check()
+
+
+# -- the size order: equal lengths, and a stale order refused ---------------------
+
+# four runs of 4 clusters beside runs of 2 and 7
+TIES = [(0, 4), (6, 2), (10, 4), (20, 4), (30, 4), (40, 7)]
+
+
+def tie_index(built=True):
+    """An index over TIES; built, its size order exists (best fit unbuilt scans its lone chunk)."""
+    index = FreeExtentIndex()
+    for off, n in TIES:
+        index.add(off, n)
+    if built:
+        index.top(0)
+    return index
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+def test_equal_lengths_tie_to_high_offsets_in_top_and_to_low_offsets_in_fits_and_plans(built):
+    # within one length the two orders are opposite
+    assert tie_index(built).top(4) == [(7, 40), (4, 30), (4, 20), (4, 10)]
+    assert tie_index(built).best_fit(3, 5) == (0, 1)
+    assert tie_index(built).largest_first_plan(17) == [(40, 7), (0, 4), (10, 4), (20, 2)]
+    index = tie_index(built)
+    index.take(40, 7)
+    assert index.worst_fit(2, 5) == (0, 1)
+    index.check()
+
+
+def _empty_list_left_behind(index):
+    index._by_length[3] = []
+    insort(index._lengths, 3)
+
+
+def _length_without_a_list(index):
+    insort(index._lengths, 3)
+
+
+def _list_without_its_length(index):
+    index._lengths.remove(7)
+
+
+def _offset_under_the_wrong_length(index):
+    index._by_length[4].remove(10)
+    insort(index._by_length[7], 10)
+
+
+def _unsorted_list(index):
+    index._by_length[4].reverse()
+
+
+@pytest.mark.parametrize("corrupt", [_empty_list_left_behind, _length_without_a_list, _list_without_its_length,
+                                     _offset_under_the_wrong_length, _unsorted_list])
+def test_check_refuses_a_stale_size_order(corrupt):
+    index = tie_index()
+    index.check()
+    corrupt(index)
+    with pytest.raises(InvariantViolationError, match="size order is stale"):
         index.check()
 
 
