@@ -40,10 +40,8 @@ def _cmd_grid(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = harness.load_config(args.config)
-    config.validate()
+    demand, capacity = config.validate()
     workload = config.workload
-    capacity = config.volume["total_clusters"] * config.volume["cluster_size"]
-    demand = workload.n_objects * workload.size_dist.mean
     print(
         f"ok: {workload.n_objects} objects of mean"
         f" {workload.size_dist.mean} bytes on a {capacity}-byte volume"

@@ -68,8 +68,9 @@ class ExperimentConfig:
             "outputs": {"csv": self.csv_path, "json": self.json_path},
         })
 
-    def validate(self) -> None:
-        """Check feasibility, then build a store the way a run does (O(1)) and drop it."""
+    def validate(self) -> tuple[int, int]:
+        """Check feasibility, then build a store the way a run does (O(1)) and drop it.
+        Returns (demand, capacity): the bytes of the objects at their mean size, and of the volume."""
         self.workload.validate()
         capacity = self.volume["total_clusters"] * self.volume["cluster_size"]
         demand = self.workload.n_objects * self.workload.size_dist.mean
@@ -81,6 +82,7 @@ class ExperimentConfig:
                 available_clusters=self.volume["total_clusters"],
             )
         self.build()
+        return demand, capacity
 
     def build(self) -> ObjectStore:
         """Fresh volume + store for one run."""

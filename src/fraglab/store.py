@@ -116,7 +116,8 @@ SAFE_WRITE_STEPS = ("temp_written", "forced", "replaced", "old_released")
 
 
 class ObjectStore:
-    """Single-writer object store over one volume."""
+    """Single-writer object store over one volume.  records(), id_at and snapshots list the
+    live objects in one order, insertion order; delete is linear in the object count."""
 
     def __init__(self, volume: Volume, config: StoreConfig):
         config.validate(volume)
@@ -124,8 +125,7 @@ class ObjectStore:
         self.config = config
         self.clock = AgeClock()
         self._records: dict[Hashable, ObjectRecord] = {}
-        self._ids: list[Hashable] = []
-        self._pos: dict[Hashable, int] = {}
+        self._ids: list[Hashable] = []   # the ids of _records, in its (insertion) order
         self._ops_since_checkpoint = 0
         self._pending: _ReplaceTxn | None = None
         self._interval_bytes = 0
@@ -211,7 +211,6 @@ class ObjectStore:
 
     def _insert(self, rec: ObjectRecord) -> ObjectRecord:
         self._records[rec.id] = rec
-        self._pos[rec.id] = len(self._ids)
         self._ids.append(rec.id)
         self.clock.live_bytes += rec.size
         return rec
@@ -221,11 +220,7 @@ class ObjectStore:
         self.volume.clear_markers(rec.extents)
         self._release(rec.extents)
         del self._records[oid]
-        idx = self._pos.pop(oid)
-        last = self._ids.pop()
-        if idx < len(self._ids):
-            self._ids[idx] = last
-            self._pos[last] = idx
+        self._ids.remove(oid)   # linear in the object count; no workload deletes
         self.clock.live_bytes -= rec.size
         self.clock.bytes_turned_over += rec.size
         self._after_mutation()
@@ -289,18 +284,18 @@ class ObjectStore:
     def verify_layout(self) -> None:
         """Scanner-vs-records cross check; raises on the first mismatch."""
         scanned = self.scan_layout()
-        recorded = {oid: rec.extents for oid, rec in self._records.items()}
-        if scanned.keys() != recorded.keys():
-            missing = recorded.keys() - scanned.keys()
-            extra = scanned.keys() - recorded.keys()
+        records = self._records
+        if scanned.keys() != records.keys():
+            missing = records.keys() - scanned.keys()
+            extra = scanned.keys() - records.keys()
             raise CorruptionError(
                 f"scan object set mismatch: missing {sorted(map(repr, missing))},"
                 f" unexpected {sorted(map(repr, extra))}"
             )
-        for oid, extents in recorded.items():
-            if scanned[oid] != extents:
+        for oid, rec in records.items():
+            if scanned[oid] != rec.extents:
                 raise CorruptionError(
-                    f"object {oid!r}: scan found {scanned[oid]}, records say {extents}"
+                    f"object {oid!r}: scan found {scanned[oid]}, records say {rec.extents}"
                 )
 
     # -- maintenance --------------------------------------------------------
@@ -386,11 +381,12 @@ class ObjectStore:
 
     def _release(self, extents: list[Extent]) -> None:
         """Free an op's old extents; straight into the free set if its checkpoint is due and no hook looks."""
-        due = self.step_hook is None and self._ops_since_checkpoint + 1 >= self.config.checkpoint_every
-        if due and self.config.free_mode == "deferred":
+        mode = self.config.free_mode
+        if (mode == "deferred" and self.step_hook is None
+                and self._ops_since_checkpoint + 1 >= self.config.checkpoint_every):
             self.volume.checkpoint()   # commit the earlier stages; releasing then is what staging would leave
-            self._ops_since_checkpoint = -1   # _after_mutation brings it to 0: this op's checkpoint is spent
-        self.volume.release(extents, "immediate" if due else self.config.free_mode)
+            mode = "immediate"   # so the checkpoint _after_mutation takes finds an empty stage
+        self.volume.release(extents, mode)
 
     def _after_mutation(self) -> None:
         """Count the op; commit deferred frees when checkpoint_every ops staged them (see _release)."""

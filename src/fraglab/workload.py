@@ -133,13 +133,14 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
             )
             reads.update(count=0, bytes=0, model_seconds=0.0)
 
+    n_live = len(store)   # a safe write replaces an object, so the count holds while aging
     emit_due()
     while store.clock.age < spec.target_age:
-        victim = store.id_at(rng.randrange(len(store)))
+        victim = store.id_at(rng.randrange(n_live))
         new_size = sample_size(spec.size_dist, rng)
         store.safe_write(victim, new_size)
         if spec.read_fraction > 0 and rng.random() < spec.read_fraction:
-            reader = store.id_at(rng.randrange(len(store)))
+            reader = store.id_at(rng.randrange(n_live))
             rec, cost = store.get(reader)
             reads["count"] += 1
             reads["bytes"] += rec.size

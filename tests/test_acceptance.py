@@ -172,11 +172,12 @@ def test_c6_free_pool_ratio():
     """As stated: 50% occupancy, free pools of 400 vs 40 mean objects,
     ntfs_like, age 8; the large pool should fragment >= 1.5x less.
 
-    Expected to FAIL: the pool-size effect needs an absolute scale inside
-    the allocator, and this simulator's dynamics are scale-free; the two
-    configurations are exact 10x rescalings of each other, so they converge
-    to the same sharding equilibrium.  Measured numbers are printed; the
-    analysis and parameter sweeps live in the project notes.
+    Expected to FAIL: the two configurations differ 10x in volume and
+    free-pool size, but the ntfs_like run cache holds cache_depth entries,
+    an absolute count, so they are not rescalings of each other.  The
+    measured factor moves with the seed, from 0.94 to 1.42 over seeds 1-4,
+    and stays below 1.5 on each (ROADMAP item 7).  Measured numbers are
+    printed.
     """
     big = age_series("ntfs_like", 204800, 1 * MB, occupancy=0.5, target=8.0,
                      ages=[8.0])[0].frag_mean
@@ -186,9 +187,9 @@ def test_c6_free_pool_ratio():
     print(f"\nACCEPTANCE C6 measured: pool-400 {big:.2f} vs pool-40 {small:.2f} "
           f"fragments/object (factor {factor:.2f})")
     if not (big < small and factor >= 1.5):
-        print("ACCEPTANCE C6 FAIL: both pools reach the same scale-free sharding "
-              "equilibrium; a >=1.5x pool-size split is outside this model "
-              "(see notes for the self-similarity argument and sweeps)")
+        print("ACCEPTANCE C6 FAIL: the factor moves from 0.94 to 1.42 over seeds 1-4 "
+              "(cache_depth is an absolute count, not rescaled with the pool); "
+              "see ROADMAP item 7 for the seed study")
     assert big < small, f"large pool fragmented more ({big:.2f} vs {small:.2f})"
     assert factor >= 1.5, f"factor {factor:.2f} below 1.5"
     print("ACCEPTANCE C6 PASS: large free pool fragmented >= 1.5x less")

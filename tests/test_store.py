@@ -324,6 +324,24 @@ class TestDelete:
         rec = store.put_new("replacement", 1 * MB)
         assert fragments_of(rec) == 1
 
+    def test_ids_keep_insertion_order_through_deletes_and_snapshots(self):
+        def order(store):
+            drawn = [store.id_at(i) for i in range(len(store))]
+            assert drawn == [rec.id for rec in store.records()]
+            return drawn
+
+        store = make_store()
+        for oid in "abcdef":
+            store.put_new(oid, 3 * 4096)
+        for oid in "adf":   # the first, a middle and the last
+            store.delete(oid)
+        assert order(store) == ["b", "c", "e"]
+        assert order(ObjectStore.from_state(store.to_state())) == ["b", "c", "e"]
+        with pytest.raises(NotFoundError):
+            store.delete("a")
+        assert order(store) == ["b", "c", "e"]
+        store.verify_layout()
+
     def test_live_bytes_tracks_records(self):
         store = make_store()
         store.put_new("a", 100 * KB)
