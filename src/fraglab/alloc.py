@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, NoSpaceError, UsageError
-from .schema import FIELDS, default, fixed_value
+from .schema import FIELDS, check_bounds, default, fixed_value
 from .volume import Extent, Volume, coalesce
 
 if TYPE_CHECKING:
@@ -143,8 +143,7 @@ class BuddyPolicy(AllocPolicy):
     kind = "buddy"
 
     def __init__(self, min_order: int = default("store.policy.params.min_order")):
-        if min_order < 0:
-            raise ConfigurationError("buddy min_order must be >= 0")
+        check_bounds("store.policy.params", ConfigurationError, min_order=min_order)
         self.min_order = min_order
         self.internal_frag_clusters = 0
 
@@ -194,8 +193,7 @@ class NtfsLikePolicy(AllocPolicy):
     fragmenting = True
 
     def __init__(self, cache_depth: int = default("store.policy.params.cache_depth")):
-        if cache_depth < 1:
-            raise ConfigurationError("ntfs_like cache depth must be >= 1")
+        check_bounds("store.policy.params", ConfigurationError, cache_depth=cache_depth)
         self.cache_depth = cache_depth
         self._cache: list[list[int]] = []  # mutable [offset, length] entries
 

@@ -50,9 +50,13 @@ class ExperimentConfig:
         if occupancy is not None:
             if wl["n_objects"] is not None:
                 raise ConfigurationError("give n_objects or occupancy, not both")
+            schema.check_bounds("volume", ConfigurationError, **volume)
+            schema.check_bounds("workload", ConfigurationError, occupancy=occupancy)
             size_dist.validate()
             capacity = volume["total_clusters"] * volume["cluster_size"]
             wl["n_objects"] = int(occupancy * capacity // size_dist.mean)
+            if not wl["n_objects"]:
+                raise ConfigurationError(f"workload.occupancy {occupancy} holds no object of the mean size")
         elif wl["n_objects"] is None:
             raise ConfigurationError("workload needs n_objects or occupancy")
         outputs = canon["outputs"]
@@ -69,9 +73,10 @@ class ExperimentConfig:
         })
 
     def validate(self) -> tuple[int, int]:
-        """Check feasibility, then build a store the way a run does (O(1)) and drop it.
+        """Build a store as a run does (O(1)), checking every field, and drop it; then check feasibility.
         Returns (demand, capacity): the bytes of the objects at their mean size, and of the volume."""
         self.workload.validate()
+        self.build()
         capacity = self.volume["total_clusters"] * self.volume["cluster_size"]
         demand = self.workload.n_objects * self.workload.size_dist.mean
         if demand >= capacity:
@@ -81,7 +86,6 @@ class ExperimentConfig:
                 required_clusters=-(-demand // self.volume["cluster_size"]),
                 available_clusters=self.volume["total_clusters"],
             )
-        self.build()
         return demand, capacity
 
     def build(self) -> ObjectStore:
@@ -267,13 +271,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> dict:
             failures.append(res)
     if grid.csv_path:
         _write_csv(grid.csv_path, rows)
-    summary = {
-        "cells": len(cells),
-        "failed": [
-            {"cell_key": f["cell_key"], "error": f["error"], "exit_code": f["exit_code"]}
-            for f in failures
-        ],
-    }
+    summary = {"cells": len(cells), "failed": failures}
     if grid.json_path:
         _write_text(grid.json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -18,15 +18,12 @@ if TYPE_CHECKING:
 
 def fragments_of(record: "ObjectRecord") -> int:
     """Maximal runs of physically adjacent clusters, in logical order."""
-    extents = record.extents
-    if not extents:
-        return 0
-    count = 1
-    prev_end = extents[0].end
-    for ext in extents[1:]:
-        if ext.offset != prev_end:
+    count = 0
+    prev_end = None
+    for offset, length in record.extents:
+        if offset != prev_end:
             count += 1
-        prev_end = ext.end
+        prev_end = offset + length
     return count
 
 
@@ -86,13 +83,15 @@ def build_report(
     bytes over its modeled seconds (0 when the interval is empty).
     """
     volume = store.volume
-    frags = sorted(fragments_of(rec) for rec in store.records())
-    n = len(frags)
+    frags = []
     total_bytes = 0
     total_read_seconds = 0.0
     for rec in store.records():
+        frags.append(fragments_of(rec))
         total_bytes += rec.size
         total_read_seconds += rec.read_seconds
+    frags.sort()
+    n = len(frags)
     hist = volume.free_extent_histogram()
     clock = store.clock
     return FragReport(

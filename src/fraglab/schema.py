@@ -1,11 +1,12 @@
 """The config schema: each field of an experiment config, declared once.
 
-FIELDS gives each leaf's dotted path, JSON type and default (REQUIRED: none;
-None: absent unless given); a field may exist under one policy kind only, or
-have its value fixed by some kinds.  parse() checks a document's shape, types
-and required and unknown keys, and returns it canonical, defaults filled in;
-range checks belong to the objects built from it.  dump() reads the canonical
-form back off those objects, whose dataclasses take defaults via default().
+FIELDS gives each leaf's dotted path, JSON type, default (REQUIRED: none;
+None: absent unless given) and range; a field may exist under one policy kind
+only, or have its value fixed by some kinds.  parse() checks a document's shape,
+types and required and unknown keys, and returns it canonical, defaults filled
+in.  Each object built from a section checks its values' ranges through
+check_bounds(), and keeps the checks that relate two values.  dump() reads the
+canonical form back off those objects, whose dataclasses take defaults via default().
 A type is int, float, bool, str, dict, list, [t] (an array of t) or
 (t1, t2, ...) (an array of exactly those).
 """
@@ -29,31 +30,32 @@ class Field(NamedTuple):
     default: object = REQUIRED
     kind: str | None = None   # policy params: the one policy kind that takes them
     fixed: dict | None = None  # policy kind -> its value here, its default and the only one allowed
+    bound: tuple | None = None  # a number's (least, below or None): least <= it < below; a string's values
 
 
 FIELDS = (
-    Field("volume.total_clusters", int),
-    Field("volume.cluster_size", int, 4096),
-    Field("volume.seek_time", float, 0.008),            # seconds per non-adjacent extent
+    Field("volume.total_clusters", int, bound=(1, None)),
+    Field("volume.cluster_size", int, 4096, bound=(1, None)),
+    Field("volume.seek_time", float, 0.008, bound=(0, None)),   # seconds per non-adjacent extent
     Field("volume.bands", [(int, int, float)], None),   # [start, end, bytes/s]; None: default_bands
     Field("store.policy.kind", str, "first_fit"),
     # the fits take the flag; buddy never fragments, ntfs_like and log_append always may
     Field("store.policy.fragmenting", bool, True,
           fixed={"buddy": False, "ntfs_like": True, "log_append": True}),
-    Field("store.policy.params.cache_depth", int, 32, "ntfs_like"),
-    Field("store.policy.params.min_order", int, 0, "buddy"),
+    Field("store.policy.params.cache_depth", int, 32, "ntfs_like", bound=(1, None)),
+    Field("store.policy.params.min_order", int, 0, "buddy", bound=(0, None)),
     Field("store.write_request_size", int, 65536),
     Field("store.size_hint", bool, False),
-    Field("store.checkpoint_every", int, 1),
-    Field("store.free_mode", str, "deferred"),
-    Field("workload.n_objects", int, None),     # exactly one of n_objects and occupancy
-    Field("workload.occupancy", float, None),
-    Field("workload.size_dist.kind", str, "constant"),
-    Field("workload.size_dist.mean", int, 1 << 20),
-    Field("workload.size_dist.half_width", int, 0),
-    Field("workload.target_age", float, 0.0),
+    Field("store.checkpoint_every", int, 1, bound=(1, None)),
+    Field("store.free_mode", str, "deferred", bound=("deferred", "immediate")),
+    Field("workload.n_objects", int, None, bound=(1, None)),   # exactly one of n_objects and occupancy
+    Field("workload.occupancy", float, None, bound=(0, 1)),
+    Field("workload.size_dist.kind", str, "constant", bound=("constant", "uniform")),
+    Field("workload.size_dist.mean", int, 1 << 20, bound=(1, None)),
+    Field("workload.size_dist.half_width", int, 0, bound=(0, None)),   # and < mean
+    Field("workload.target_age", float, 0.0, bound=(0, None)),
     Field("workload.seed", int, 0),
-    Field("workload.read_fraction", float, 0.0),
+    Field("workload.read_fraction", float, 0.0, bound=(0, 1)),
     Field("workload.measurement_ages", [float], []),
     Field("outputs.csv", str, None),
     Field("outputs.json", str, None),
@@ -177,6 +179,21 @@ def check_type(value, spec, where: str):
             or (spec is float and not math.isfinite(value))):
         raise ConfigurationError(f"{where} must be {_TYPE_NAMES[spec]}, not {value!r}")
     return value
+
+
+def check_bounds(path: str, error: type[Exception], **values) -> None:
+    """Raise error, naming its dotted path, on the first leaf of section path outside its bound."""
+    for name, spec in _node(path, CONFIG).items():
+        if name in values and not isinstance(spec, dict) and spec.bound is not None:
+            value = values[name]
+            if spec.type is str:
+                ok, need = value in spec.bound, " or ".join(map(repr, spec.bound))
+            else:
+                least, below = spec.bound
+                ok = least <= value and (below is None or value < below)
+                need = f">= {least}" + ("" if below is None else f" and < {below}")
+            if not ok:
+                raise error(f"{path}.{name} must be {need}, not {value!r}")
 
 
 def dump(obj, path: str) -> dict:

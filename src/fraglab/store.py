@@ -24,7 +24,7 @@ from typing import Callable, Hashable, Iterator
 
 from .alloc import AllocPolicy, make_policy
 from .errors import ConfigurationError, CorruptionError, NotFoundError, UndefinedAgeError, UsageError
-from .schema import check_type, default, dump, parse
+from .schema import check_bounds, check_type, default, dump, parse
 from .volume import Extent, Volume, coalesce
 
 
@@ -79,12 +79,9 @@ class StoreConfig:
     free_mode: str = default("store.free_mode")                 # "deferred" or "immediate"
 
     def validate(self, volume: Volume) -> None:
+        check_bounds("store", UsageError, **vars(self))
         if self.write_request_size < volume.cluster_size:
             raise UsageError("write_request_size must be at least one cluster")
-        if self.checkpoint_every < 1:
-            raise UsageError("checkpoint_every must be >= 1")
-        if self.free_mode not in ("immediate", "deferred"):
-            raise UsageError(f"unknown free_mode {self.free_mode!r}")
         if self.policy.requires_deferred_free and self.free_mode != "deferred":
             raise UsageError(f"{self.policy.kind} requires free_mode='deferred'")
         self.policy.check_volume(volume)

@@ -24,7 +24,7 @@ from itertools import chain, islice, starmap
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, CorruptionError, InvariantViolationError
-from .schema import check_type, default, dump, parse
+from .schema import check_bounds, check_type, default, dump, parse
 
 DEFAULT_OUTER_RATE = 60e6   # bytes/second
 DEFAULT_INNER_RATE = 30e6
@@ -121,7 +121,7 @@ class FreeExtentIndex:
     stay few (d of them need d(d+1)/2 free clusters), so a fit bisects a
     short list, and an update edits one offset list.  It is built on first
     use, so first fit never pays for it; until then best fit scans a lone
-    chunk, which is cheaper while a bulk load carves up one run.
+    chunk, cheaper while a bulk load carves up one run or few runs are free.
     The fits serve up to `count` requests of k clusters each and return
     (offset, requests served), aligned_block returns the offset it took; both
     give None when nothing fits, and ties go to the lowest offset.  Only they,
@@ -194,7 +194,7 @@ class FreeExtentIndex:
     def best_fit(self, k: int, count: int = 1) -> tuple[int, int] | None:
         """As first_fit, from the shortest run that holds k (ties to the lowest offset): what
         is left of it stays that run, since no other run is at least k and shorter than it was."""
-        if self._lengths is None and len(self._maxes) == 1:   # one chunk, as in a bulk load: scan it
+        if self._lengths is None and len(self._maxes) == 1:   # one chunk (a bulk load, a small free set): scan it
             lens = self._lens[0]
             best = None
             for j, length in enumerate(lens):
@@ -602,12 +602,8 @@ def create_volume(
     seek_time: float = default("volume.seek_time"),
 ) -> Volume:
     """A fresh volume: one free run covering everything, nothing staged."""
-    if total_clusters <= 0:
-        raise ConfigurationError("total_clusters must be > 0")
-    if cluster_size <= 0:
-        raise ConfigurationError("cluster_size must be > 0")
-    if seek_time < 0:
-        raise ConfigurationError("seek_time must be >= 0")
+    check_bounds("volume", ConfigurationError, total_clusters=total_clusters,
+                 cluster_size=cluster_size, seek_time=seek_time)
     bands = default_bands(total_clusters) if bands is None else [Band(*b) for b in bands]
     _validate_bands(bands, total_clusters)
     vol = Volume(total_clusters, cluster_size, bands, seek_time)

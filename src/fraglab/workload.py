@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleSpecError, NoSpaceError, UsageError
 from .metrics import FragReport, build_report
 from .rng import Xorshift64Star, derive_seed
-from .schema import config_echo, default
+from .schema import check_bounds, config_echo, default
 from .store import ObjectStore
 
 _BULK_STREAM = 0
@@ -34,12 +34,9 @@ class SizeDist:
     half_width: int = default("workload.size_dist.half_width")   # uniform: [mean-hw, mean+hw]
 
     def validate(self) -> None:
-        if self.kind not in ("constant", "uniform"):
-            raise UsageError(f"unknown size distribution {self.kind!r}")
-        if self.mean <= 0:
-            raise UsageError("size distribution mean must be > 0")
-        if not 0 <= self.half_width < self.mean:
-            raise UsageError("half_width must satisfy 0 <= half_width < mean")
+        check_bounds("workload.size_dist", UsageError, **vars(self))
+        if self.half_width >= self.mean:
+            raise UsageError(f"workload.size_dist.half_width {self.half_width} must be < mean {self.mean}")
 
 
 def sample_size(dist: SizeDist, rng: Xorshift64Star) -> int:
@@ -59,12 +56,7 @@ class WorkloadSpec:
     measurement_ages: list[float] = default("workload.measurement_ages")
 
     def validate(self) -> None:
-        if self.n_objects < 1:
-            raise UsageError("n_objects must be >= 1")
-        if self.target_age < 0:
-            raise UsageError("target_age must be >= 0")
-        if not 0.0 <= self.read_fraction < 1.0:
-            raise UsageError("read_fraction must be in [0, 1)")
+        check_bounds("workload", UsageError, **vars(self))
         self.size_dist.validate()
         for age in self.measurement_ages:
             if age < 0 or age > self.target_age:

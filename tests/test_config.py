@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,15 @@ def edit(doc, fn):
     doc = copy.deepcopy(doc)
     fn(doc)
     return doc
+
+
+def occupancy_doc(occupancy, **volume):
+    """config_doc with its object count derived from occupancy, and volume fields overridden."""
+    def change(doc):
+        del doc["workload"]["n_objects"]
+        doc["workload"]["occupancy"] = occupancy
+        doc["volume"].update(volume)
+    return edit(config_doc(), change)
 
 
 def v2_snapshot():
@@ -226,6 +236,35 @@ MALFORMED = {
         json.dumps(config_doc(policy={"kind": "buddy", "fragmenting": True})),
         "store.policy.fragmenting must be false for buddy, not true",
     ),
+    # n_objects is derived from the occupancy and the volume numbers, and validate divides by
+    # them, so each is range-checked before that arithmetic
+    "occupancy_1e308": (("run", "validate"), json.dumps(occupancy_doc(1e308)),
+                        "workload.occupancy must be >= 0 and < 1, not 1e+308"),
+    "occupancy_minus_1e308": (("run", "validate"), json.dumps(occupancy_doc(-1e308)),
+                              "workload.occupancy must be >= 0 and < 1, not -1e+308"),
+    "occupancy_zero": (("run", "validate"), json.dumps(occupancy_doc(0.0)), "workload.occupancy 0.0 holds no"),
+    "occupancy_below_one_object": (("run", "validate"), json.dumps(occupancy_doc(1e-9)),
+                                   "workload.occupancy 1e-09 holds no"),
+    "total_clusters_zero": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(total_clusters=0))),
+        "volume.total_clusters must be >= 1, not 0",
+    ),
+    "cluster_size_zero": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(cluster_size=0))),
+        "volume.cluster_size must be >= 1, not 0",
+    ),
+    "total_clusters_negative": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(total_clusters=-5))),
+        "volume.total_clusters must be >= 1, not -5",
+    ),
+    "total_clusters_negative_with_occupancy": (
+        ("run", "validate"),
+        json.dumps(occupancy_doc(0.5, total_clusters=-5)),
+        "volume.total_clusters must be >= 1, not -5",
+    ),
     "grid_log_append_not_fragmenting": (
         ("grid",),
         json.dumps(grid_doc(axes={"policy": [{"kind": "log_append", "fragmenting": False}]})),
@@ -269,6 +308,77 @@ def test_validate_rejects_what_run_rejects(case, tmp_path, capsys):
         outcomes.append((cli.main([command, str(path)]), capsys.readouterr().err))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == EXIT_CONFIG and len(outcomes[0][1].splitlines()) == 1
+
+
+# the schema-derived gate: each FIELDS leaf of each base set to every wrong JSON type, to extreme
+# numbers and to the values just outside its declared bound; validate runs in-process, never run,
+# whose bulk load would allocate a huge object count
+GATE_BASES = {
+    "ntfs_like_occupancy": {
+        "volume": {"total_clusters": 2048, "cluster_size": 4096},
+        "store": {"policy": {"kind": "ntfs_like", "params": {"cache_depth": 8}}},
+        "workload": {"occupancy": 0.5, "size_dist": {"kind": "uniform", "mean": 128 * KB, "half_width": 32 * KB},
+                     "target_age": 1.0, "measurement_ages": [0, 1]},
+    },
+    "buddy_n_objects": config_doc(policy={"kind": "buddy", "params": {"min_order": 1}}),
+}
+WRONG_TYPES = (None, True, "x", 1.5, [], {})
+EXTREMES = (1e308, -1e308, 10**30, -10**30, 0, -1)
+
+
+def just_outside(spec):
+    """The values nearest a field's declared bound, or its allowed strings, that it refuses."""
+    if spec.bound is None:
+        return []
+    if spec.type is str:
+        return ["", *(choice.upper() for choice in spec.bound)]
+    least, below = spec.bound
+    return [least - 1 if spec.type is int else math.nextafter(least, -math.inf),
+            *([] if below is None else [below])]
+
+
+def has_type(value, spec) -> bool:
+    """Whether value is JSON of the field type spec: an integer is a number, a boolean is not."""
+    if isinstance(spec, list):
+        return isinstance(value, list)
+    if isinstance(value, bool):
+        return spec is bool
+    return isinstance(value, (int, float) if spec is float else spec)
+
+
+def in_bound(value, spec) -> bool:
+    if spec.bound is None:
+        return True
+    if spec.type is str:
+        return value in spec.bound
+    least, below = spec.bound
+    return least <= value and (below is None or value < below)
+
+
+@pytest.mark.parametrize("base", sorted(GATE_BASES))
+def test_every_field_mutation_exits_0_or_2_with_one_line(base, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(GATE_BASES[base]))
+    assert cli.main(["validate", str(path)]) == 0
+    wrong = []
+    for spec in schema.FIELDS:
+        for value in (*WRONG_TYPES, *EXTREMES, *just_outside(spec)):
+            doc = copy.deepcopy(GATE_BASES[base])
+            *sections, leaf = spec.path.split(".")
+            node = doc
+            for name in sections:
+                node = node.setdefault(name, {})
+            node[leaf] = value
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = cli.main(["validate", str(path)])   # any exception but a FraglabError fails the test
+            lines = len(capsys.readouterr().err.splitlines())
+            # null leaves a field absent when its default is None
+            refused = (not has_type(value, spec.type) and not (value is None and spec.default is None)
+                       or has_type(value, spec.type) and not in_bound(value, spec))
+            if code not in (0, 2) or lines != (code == 2) or (refused and code != 2):
+                wrong.append((spec.path, value, code, lines))
+    assert wrong == []
 
 
 class TestCellKeys:

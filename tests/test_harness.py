@@ -190,6 +190,15 @@ class TestGrid:
         rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
         assert len(rows) == 9  # the feasible half still produced its series
 
+    def test_out_of_range_axis_value_fails_its_cell_alone(self, tmp_path):
+        doc = small_grid_doc(tmp_path, seeds=(1,))
+        doc["axes"] = {"occupancy": [0.5, 1e308]}   # axes are checked per cell, never at grid parse
+        summary = harness.run_grid(harness.ExperimentGrid.from_dict(doc))
+        assert [(f["cell_key"], f["exit_code"]) for f in summary["failed"]] == [("occ=1e+308|seed=1", EXIT_CONFIG)]
+        assert "workload.occupancy must be >= 0 and < 1" in summary["failed"][0]["error"]
+        rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(r.startswith("occ=0.5|seed=1,") for r in rows)
+
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_usage_error_cell_reported_not_fatal(self, tmp_path, parallelism):
         doc = small_grid_doc(tmp_path, seeds=(1,))
