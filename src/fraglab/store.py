@@ -10,7 +10,8 @@ version of the object exists at every point.
 Every extent of an object's record is tagged on the volume with one owner
 run, (length, owner key, sequence number of its first cluster), written only
 here, also when compact() slides the data toward cluster 0.  scan_layout
-rebuilds all layouts from the runs alone: an independent check on the records.
+rebuilds all layouts from the runs alone: an independent check on the records,
+which verify_layout makes in place on the same sweep.
 Deferred frees commit every checkpoint_every mutating ops; with no step hook to
 look in between, an op whose checkpoint falls due frees straight into the free set.
 """
@@ -246,54 +247,58 @@ class ObjectStore:
 
         Ignores the object records entirely.  The volume's sweep of its owner
         runs finds runs outside the volume, overlapping runs and runs over
-        unallocated clusters, and this one leftover temp runs; per key, the
-        runs in sequence order must then number the clusters 0, 1, 2, ... with
-        no gap or repeat.  Each finding is a CorruptionError naming the
-        offending cluster.  Each run is one extent, so runs split where the
-        records hold one extent show as a mismatch in verify_layout.
+        unallocated clusters, and _owner_groups leftover temp runs and keys whose
+        runs in sequence order do not number the clusters 0, 1, 2, ... with no
+        gap or repeat.  Each finding is a CorruptionError naming the offending
+        cluster.  Each run is one extent, so runs split where the records hold
+        one extent show as a mismatch in verify_layout.
         """
-        by_key: dict[Hashable, list[tuple[int, int, int]]] = {}
-        for offset, (length, key, seq) in self.volume.owner_runs():
-            if isinstance(key, tuple) and key and key[0] == "~tmp":
-                raise CorruptionError(
-                    f"cluster {offset} holds a temp run outside any replacement", cluster=offset
-                )
-            by_key.setdefault(key, []).append((seq, offset, length))
-        layout: dict[Hashable, list[Extent]] = {}
-        for key, runs in by_key.items():
-            runs.sort()
-            expected = 0
-            for seq, offset, length in runs:
-                if seq < expected:
-                    raise CorruptionError(
-                        f"object {key!r}: duplicate sequence {seq} at cluster {offset}",
-                        cluster=offset,
-                    )
-                if seq > expected:
-                    raise CorruptionError(
-                        f"object {key!r}: sequence gap before {seq} at cluster {offset}",
-                        cluster=offset,
-                    )
-                expected = seq + length
-            layout[key] = [Extent(offset, length) for _seq, offset, length in runs]
-        return layout
+        owners = self.volume.owners
+        return {key: [Extent(offset, owners[offset][0]) for offset in offsets]
+                for key, offsets in self._owner_groups().items()}
 
     def verify_layout(self) -> None:
-        """Scanner-vs-records cross check; raises on the first mismatch."""
-        scanned = self.scan_layout()
+        """Scanner-vs-records cross check on scan_layout's sweep; raises on the first mismatch.
+        Each record's extents are compared in place with its key's run offsets and the runs'
+        lengths, so it keeps one offset list per object and builds Extents only for a message."""
+        groups = self._owner_groups()
         records = self._records
-        if scanned.keys() != records.keys():
-            missing = records.keys() - scanned.keys()
-            extra = scanned.keys() - records.keys()
-            raise CorruptionError(
-                f"scan object set mismatch: missing {sorted(map(repr, missing))},"
-                f" unexpected {sorted(map(repr, extra))}"
-            )
+        if groups.keys() != records.keys():
+            missing, extra = records.keys() - groups.keys(), groups.keys() - records.keys()
+            raise CorruptionError(f"scan object set mismatch: missing {sorted(map(repr, missing))},"
+                                  f" unexpected {sorted(map(repr, extra))}")
+        owners = self.volume.owners
         for oid, rec in records.items():
-            if scanned[oid] != rec.extents:
-                raise CorruptionError(
-                    f"object {oid!r}: scan found {scanned[oid]}, records say {rec.extents}"
-                )
+            if [(offset, owners[offset][0]) for offset in groups[oid]] != rec.extents:
+                scanned = [Extent(offset, owners[offset][0]) for offset in groups[oid]]
+                raise CorruptionError(f"object {oid!r}: scan found {scanned}, records say {rec.extents}")
+
+    def _owner_groups(self) -> dict[Hashable, list[int]]:
+        """Each owner key's run offsets in sequence order, from the owner runs alone.  Findings
+        come in a fixed order: the volume's sweep, the lowest leftover temp run, then per key,
+        keys in the order of their lowest run, the first repeated or skipped sequence number."""
+        owners = self.volume.owners
+        groups: dict[Hashable, list[int]] = {}
+        for offset in self.volume.owner_runs():
+            key = owners[offset][1]
+            if isinstance(key, tuple) and key and key[0] == "~tmp":
+                raise CorruptionError(f"cluster {offset} holds a temp run outside any replacement",
+                                      cluster=offset)
+            offsets = groups.get(key)
+            if offsets is None:
+                groups[key] = [offset]
+            else:
+                offsets.append(offset)
+        for key, offsets in groups.items():
+            offsets.sort(key=lambda offset: owners[offset][2])
+            expected = 0
+            for offset in offsets:
+                length, _key, seq = owners[offset]
+                if seq != expected:
+                    what = "duplicate sequence" if seq < expected else "sequence gap before"
+                    raise CorruptionError(f"object {key!r}: {what} {seq} at cluster {offset}", cluster=offset)
+                expected = seq + length
+        return groups
 
     # -- maintenance --------------------------------------------------------
 
@@ -423,6 +428,8 @@ class ObjectStore:
             raise ConfigurationError(f"snapshot bytes_turned_over is {turned}; it must be >= 0")
         store.clock.bytes_turned_over = turned
         for oid, size, generation, extents in state["objects"]:
+            if not isinstance(oid, (int, str)) or isinstance(oid, bool):   # true and 1.0 hash as 1
+                raise ConfigurationError(f"snapshot object id must be an integer or a string, not {oid!r}")
             if oid in store:
                 raise ConfigurationError(f"snapshot lists object {oid!r} twice")
             if check_type(size, int, f"snapshot object {oid!r} size") < 1:

@@ -535,18 +535,20 @@ class Volume:
         if deep:
             self.owner_runs()
 
-    def owner_runs(self) -> list[tuple[int, tuple]]:
-        """The owner runs in offset order, as (offset, (length, key, first_seq)).
+    def owner_runs(self) -> list[int]:
+        """The owner runs' first clusters, the owner map's own keys, in offset order.
 
-        Sweeps them beside the free and deferred runs first: a run outside the
-        volume, overlapping the one before it, or over a free or deferred
+        Sweeps the runs beside the free and deferred runs first: a run outside
+        the volume, overlapping the one before it, or over a free or deferred
         cluster is a CorruptionError naming the first offending cluster.
         """
-        runs = sorted(self.owners.items())
+        owners = self.owners
+        offsets = sorted(owners)
         holes = sorted(chain(self.free, self.deferred))
         n_holes = len(holes)
         h = prev_end = 0
-        for offset, (length, _key, _seq) in runs:
+        for offset in offsets:
+            length = owners[offset][0]
             end = offset + length
             if length < 1 or end > self.total_clusters:
                 raise CorruptionError(f"owner run ({offset},{length}) is malformed:"
@@ -561,7 +563,7 @@ class Volume:
                 raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
                                       f" it lies in {where}", cluster=cluster)
             prev_end = end
-        return runs
+        return offsets
 
     # -- snapshots ------------------------------------------------------------
 
@@ -588,9 +590,9 @@ class Volume:
         for off, length, key, seq in state["owners"]:
             check_type((off, length, seq), (int, int, int),
                        f"snapshot owner run {[off, length, key, seq]!r} (offset, length, seq)")
-            if isinstance(key, (list, dict)):
+            if not isinstance(key, (int, str)) or isinstance(key, bool):   # true and 1.0 hash as 1
                 raise ConfigurationError(f"snapshot owner run at cluster {off} has key {key!r};"
-                                         " owner keys must be JSON scalars")
+                                         " owner keys must be JSON scalars of type integer or string")
             vol.set_owner(off, length, key, seq)
         return vol
 

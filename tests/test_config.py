@@ -200,6 +200,22 @@ MALFORMED = {
         json.dumps(edit(snapshot_state(), lambda s: s["volume"]["owners"][0].__setitem__(2, [0, 1]))),
         "owner keys must be JSON scalars",
     ),
+    # true and 1.0 equal 1 and hash like it, so either would pass for the object its owner runs name
+    "snapshot_object_id_true": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][1].__setitem__(0, True))),
+        "snapshot object id must be an integer or a string, not True",
+    ),
+    "snapshot_object_id_a_float": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][1].__setitem__(0, 1.0))),
+        "snapshot object id must be an integer or a string, not 1.0",
+    ),
+    "snapshot_owner_key_true": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"]["owners"][1].__setitem__(2, True))),
+        "snapshot owner run at cluster 32 has key True; owner keys must be JSON scalars of type integer or string",
+    ),
     "snapshot_config_typo": (
         ("scan",),
         json.dumps(edit(snapshot_state(), lambda s: s["config"].update(free_mod="immediate"))),
