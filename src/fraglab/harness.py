@@ -13,6 +13,7 @@ import copy
 import itertools
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -54,7 +55,10 @@ class ExperimentConfig:
             schema.check_bounds("workload", ConfigurationError, occupancy=occupancy)
             size_dist.validate()
             capacity = volume["total_clusters"] * volume["cluster_size"]
-            wl["n_objects"] = int(occupancy * capacity // size_dist.mean)
+            # float arithmetic while the capacity has a float value; exact past it, where floats overflow
+            num, den = occupancy.as_integer_ratio()
+            demand = occupancy * capacity if capacity <= sys.float_info.max else capacity * num // den
+            wl["n_objects"] = int(demand // size_dist.mean)
             if not wl["n_objects"]:
                 raise ConfigurationError(f"workload.occupancy {occupancy} holds no object of the mean size")
         elif wl["n_objects"] is None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import field
 from typing import NamedTuple
 
@@ -48,10 +49,11 @@ FIELDS = (
     Field("store.size_hint", bool, False),
     Field("store.checkpoint_every", int, 1, bound=(1, None)),
     Field("store.free_mode", str, "deferred", bound=("deferred", "immediate")),
-    Field("workload.n_objects", int, None, bound=(1, None)),   # exactly one of n_objects and occupancy
+    # exactly one of n_objects and occupancy; below 2**24 the victim draws' bias stays below 2**-40
+    Field("workload.n_objects", int, None, bound=(1, 1 << 24)),
     Field("workload.occupancy", float, None, bound=(0, 1)),
     Field("workload.size_dist.kind", str, "constant", bound=("constant", "uniform")),
-    Field("workload.size_dist.mean", int, 1 << 20, bound=(1, None)),
+    Field("workload.size_dist.mean", int, 1 << 20, bound=(1, 1 << 63)),
     Field("workload.size_dist.half_width", int, 0, bound=(0, None)),   # and < mean
     Field("workload.target_age", float, 0.0, bound=(0, None)),
     Field("workload.seed", int, 0),
@@ -173,7 +175,8 @@ def check_type(value, spec, where: str):
         specs = spec if row else spec * len(value)
         items = [check_type(v, s, f"{where}[{i}]") for i, (v, s) in enumerate(zip(value, specs))]
         return tuple(items) if row else items
-    if spec is float and isinstance(value, int) and not isinstance(value, bool):
+    if (spec is float and isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):   # a larger integer has no float value: refused below
         value = float(value)
     if (not isinstance(value, spec) or (isinstance(value, bool) and spec is not bool)
             or (spec is float and not math.isfinite(value))):

@@ -114,8 +114,8 @@ SAFE_WRITE_STEPS = ("temp_written", "forced", "replaced", "old_released")
 
 
 class ObjectStore:
-    """Single-writer object store over one volume.  records(), id_at and snapshots list the
-    live objects in one order, insertion order; delete is linear in the object count."""
+    """Single-writer object store over one volume.  Its one table, _records, keeps the live
+    objects in insertion order: the order records() and snapshots list them in."""
 
     def __init__(self, volume: Volume, config: StoreConfig):
         config.validate(volume)
@@ -123,7 +123,6 @@ class ObjectStore:
         self.config = config
         self.clock = AgeClock()
         self._records: dict[Hashable, ObjectRecord] = {}
-        self._ids: list[Hashable] = []   # the ids of _records, in its (insertion) order
         self._ops_since_checkpoint = 0
         self._pending: _ReplaceTxn | None = None
         self._interval_bytes = 0
@@ -142,9 +141,6 @@ class ObjectStore:
     def records(self) -> Iterator[ObjectRecord]:
         return iter(self._records.values())
 
-    def id_at(self, index: int) -> Hashable:
-        return self._ids[index]
-
     def _require(self, oid: Hashable) -> ObjectRecord:
         rec = self._records.get(oid)
         if rec is None:
@@ -155,6 +151,8 @@ class ObjectStore:
 
     def put_new(self, oid: Hashable, size: int) -> ObjectRecord:
         """Create an object.  Fails atomically: on no-space nothing changes."""
+        if not isinstance(oid, (int, str)) or isinstance(oid, bool):   # the ids a snapshot can hold
+            raise UsageError(f"object id must be an integer or a string, not {oid!r}")
         if oid in self._records:
             raise UsageError(f"object {oid!r} already exists")
         if size <= 0:
@@ -209,7 +207,6 @@ class ObjectStore:
 
     def _insert(self, rec: ObjectRecord) -> ObjectRecord:
         self._records[rec.id] = rec
-        self._ids.append(rec.id)
         self.clock.live_bytes += rec.size
         return rec
 
@@ -218,7 +215,6 @@ class ObjectStore:
         self.volume.clear_markers(rec.extents)
         self._release(rec.extents)
         del self._records[oid]
-        self._ids.remove(oid)   # linear in the object count; no workload deletes
         self.clock.live_bytes -= rec.size
         self.clock.bytes_turned_over += rec.size
         self._after_mutation()

@@ -125,14 +125,14 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
             )
             reads.update(count=0, bytes=0, model_seconds=0.0)
 
-    n_live = len(store)   # a safe write replaces an object, so the count holds while aging
+    ids = [rec.id for rec in store.records()]   # a safe write replaces an object, so the population holds
     emit_due()
     while store.clock.age < spec.target_age:
-        victim = store.id_at(rng.randrange(n_live))
+        victim = ids[rng.randrange(len(ids))]
         new_size = sample_size(spec.size_dist, rng)
         store.safe_write(victim, new_size)
         if spec.read_fraction > 0 and rng.random() < spec.read_fraction:
-            reader = store.id_at(rng.randrange(n_live))
+            reader = ids[rng.randrange(len(ids))]
             rec, cost = store.get(reader)
             reads["count"] += 1
             reads["bytes"] += rec.size

@@ -57,6 +57,11 @@ def flat_volume():
     return create_volume(100, 4096, [Band(0, 100, 60e6)])
 
 
+def live_ids(store):
+    """The ids of the store's live objects, in the order its records() lists them."""
+    return [rec.id for rec in store.records()]
+
+
 def drive_mixed_ops(store, seed, n_ops, size_range, audit_every=1, scan_every=100):
     """Random put/safe-write/delete/checkpoint storm with invariant checks.
 
@@ -91,15 +96,15 @@ def drive_mixed_ops(store, seed, n_ops, size_range, audit_every=1, scan_every=10
                 store.put_new(next_id, rng.randint(*size_range))
                 next_id += 1
             elif action == "safe_write":
-                victim = store.id_at(rng.randrange(len(store)))
+                victim = live_ids(store)[rng.randrange(len(store))]
                 store.safe_write(victim, rng.randint(*size_range))
             elif action == "delete":
-                store.delete(store.id_at(rng.randrange(len(store))))
+                store.delete(live_ids(store)[rng.randrange(len(store))])
             else:
                 store.checkpoint_now()
         except NoSpaceError:
             if len(store):
-                store.delete(store.id_at(rng.randrange(len(store))))
+                store.delete(live_ids(store)[rng.randrange(len(store))])
         if op_no % audit_every == 0:
             store.volume.audit()
         if scan_every and op_no % scan_every == 0:

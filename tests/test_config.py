@@ -281,6 +281,69 @@ MALFORMED = {
         json.dumps(occupancy_doc(0.5, total_clusters=-5)),
         "volume.total_clusters must be >= 1, not -5",
     ),
+    # an integer past the float range: refused where a float is due, and never converted on the way
+    "seek_time_past_the_float_range": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(seek_time=10**400))),
+        f"volume.seek_time must be a finite number, not {10**400}",
+    ),
+    "band_rate_past_the_float_range": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(bands=[[0, 2048, 10**400]]))),
+        f"volume.bands[0][2] must be a finite number, not {10**400}",
+    ),
+    "target_age_past_the_float_range": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["workload"].update(target_age=10**400))),
+        "workload.target_age must be a finite number",
+    ),
+    "n_objects_past_the_float_range": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["workload"].update(n_objects=10**400))),
+        f"workload.n_objects must be >= 1 and < 16777216, not {10**400}",
+    ),
+    "mean_past_the_float_range": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["workload"]["size_dist"].update(mean=10**400))),
+        f"workload.size_dist.mean must be >= 1 and < 9223372036854775808, not {10**400}",
+    ),
+    # the object count an occupancy resolves to is bounded like a given one, so bulk load never
+    # starts on a count it could not finish
+    "total_clusters_1e30_with_occupancy": (
+        ("run", "validate"),
+        json.dumps(occupancy_doc(0.5, total_clusters=10**30)),
+        "workload.n_objects must be >= 1 and < 16777216, not 15625",
+    ),
+    "total_clusters_past_the_float_range_with_occupancy": (
+        ("run", "validate"),
+        json.dumps(occupancy_doc(0.5, total_clusters=10**400)),
+        "workload.n_objects must be >= 1 and < 16777216, not 15625",
+    ),
+    "first_band_not_at_cluster_0": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(bands=[[1, 1024, 6e7]]))),
+        "first band must start at cluster 0",
+    ),
+    "second_band_empty": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(bands=[[0, 1024, 6e7], [1024, 1024, 3e7]]))),
+        "band 1 is empty or inverted",
+    ),
+    "band_rate_zero": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(bands=[[0, 2048, 0.0]]))),
+        "band 0 transfer rate must be > 0",
+    ),
+    "measurement_ages_descending": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["workload"].update(measurement_ages=[1, 0]))),
+        "measurement ages must be sorted ascending",
+    ),
+    "grid_base_store_not_an_object": (
+        ("grid",),
+        json.dumps(grid_doc(base=edit(config_doc(), lambda d: d.update(store=5)))),
+        "grid base: store must be an object",
+    ),
     "grid_log_append_not_fragmenting": (
         ("grid",),
         json.dumps(grid_doc(axes={"policy": [{"kind": "log_append", "fragmenting": False}]})),
@@ -339,7 +402,7 @@ GATE_BASES = {
     "buddy_n_objects": config_doc(policy={"kind": "buddy", "params": {"min_order": 1}}),
 }
 WRONG_TYPES = (None, True, "x", 1.5, [], {})
-EXTREMES = (1e308, -1e308, 10**30, -10**30, 0, -1)
+EXTREMES = (1e308, -1e308, 10**30, -10**30, 10**400, -10**400, 0, -1)
 
 
 def just_outside(spec):

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import drive_mixed_ops
+from conftest import drive_mixed_ops, live_ids
 from fraglab import volume as volume_module
 from fraglab.alloc import make_policy
 from fraglab.errors import InvariantViolationError, NoSpaceError, SimulatedAbortError
@@ -307,14 +307,14 @@ def apply(store, op, oid):
         elif op[0] == "safe_write" and len(store):
             store.step_hook = _abort_at(op[3]) if op[3] else None
             try:
-                store.safe_write(store.id_at(op[1] % len(store)), op[2])
+                store.safe_write(live_ids(store)[op[1] % len(store)], op[2])
             except SimulatedAbortError:
                 store.recover()
                 return "aborted"
             finally:
                 store.step_hook = None
         elif op[0] == "delete" and len(store):
-            store.delete(store.id_at(op[1] % len(store)))
+            store.delete(live_ids(store)[op[1] % len(store)])
         elif op[0] == "checkpoint":
             store.checkpoint_now()
         elif op[0] == "compact":

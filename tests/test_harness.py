@@ -53,6 +53,16 @@ class TestConfigParsing:
         # 8 MiB volume at 50% of 128KB objects
         assert config.workload.n_objects == 32
 
+    def test_occupancy_of_a_volume_past_the_float_range_derives_the_exact_count(self):
+        # 2**-1074 of 2**1112 bytes is 2**38 bytes: 2**21 objects of 128 KiB
+        doc = small_config_doc()
+        del doc["workload"]["n_objects"]
+        doc["workload"]["occupancy"] = 2.0 ** -1074
+        doc["volume"]["total_clusters"] = 2 ** 1100
+        config = harness.ExperimentConfig.from_dict(doc)
+        assert config.workload.n_objects == 2 ** 21
+        assert config.validate() == (2 ** 38, 2 ** 1112)
+
     def test_occupancy_and_n_objects_conflict(self):
         doc = small_config_doc(occupancy=0.5)
         with pytest.raises(ConfigurationError):
@@ -287,6 +297,19 @@ class TestCli:
         path.write_text(json.dumps(small_grid_doc(tmp_path, seeds=(1,))))
         assert cli.main(["grid", str(path), "--parallel", "2"]) == EXIT_OK
         assert (tmp_path / "grid.csv").exists()
+
+    def test_grid_cli_reports_a_failed_cell_and_keeps_its_sibling(self, tmp_path, capsys):
+        doc = {"base": small_config_doc(), "axes": {"occupancy": [0.5, 1e308]},
+               "outputs": {"csv": str(tmp_path / "grid.csv")}}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["grid", str(path)]) == EXIT_CONFIG
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "1/2 cells completed"
+        assert [line for line in out if line.startswith("FAILED")] == [
+            "FAILED occ=1e+308|seed=0: workload.occupancy must be >= 0 and < 1, not 1e+308"]
+        rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"occ=0.5|seed=0"}
 
     @pytest.mark.parametrize("command, make_doc, expected", [
         ("run", lambda tmp_path: small_config_doc(), EXIT_CONFIG),

@@ -19,6 +19,7 @@ op their free, deferred and owner runs, records and policy state must match.
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from conftest import live_ids
 from fraglab.alloc import make_policy
 from fraglab.errors import NoSpaceError, SimulatedAbortError
 from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
@@ -115,7 +116,7 @@ def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every,
                 pass
             next_id += 1
         elif op[0] == "safe_write" and len(store):
-            oid = store.id_at(op[1] % len(store))
+            oid = live_ids(store)[op[1] % len(store)]
             step = op[3]
             store.step_hook = _abort_at(step) if step else None
             temp = ("~tmp", oid, model.generation[oid] + 1)
@@ -139,7 +140,7 @@ def test_owner_runs_match_per_cluster_markers(kind, free_mode, checkpoint_every,
                 model.generation[oid] += 1
             store.step_hook = None
         elif op[0] == "delete" and len(store):
-            oid = store.id_at(op[1] % len(store))
+            oid = live_ids(store)[op[1] % len(store)]
             store.delete(oid)
             model.clear(oid)
         elif op[0] == "checkpoint":
@@ -159,7 +160,7 @@ def _store_state(store):
     volume = store.volume
     return (list(volume.free), list(volume.deferred), dict(volume.owners),
             [(rec.id, rec.size, rec.generation, rec.extents, rec.read_seconds) for rec in store.records()],
-            list(store._ids), store._ops_since_checkpoint, store.clock,
+            live_ids(store), store._ops_since_checkpoint, store.clock,
             (store._interval_bytes, store._interval_seconds), vars(store.config.policy))
 
 
@@ -169,9 +170,9 @@ def _apply(store, op, next_id):
         if op[0] == "put":
             store.put_new(next_id, op[1])
         elif op[0] == "safe_write" and len(store):
-            store.safe_write(store.id_at(op[1] % len(store)), op[2])
+            store.safe_write(live_ids(store)[op[1] % len(store)], op[2])
         elif op[0] == "delete" and len(store):
-            store.delete(store.id_at(op[1] % len(store)))
+            store.delete(live_ids(store)[op[1] % len(store)])
         elif op[0] == "checkpoint":
             store.checkpoint_now()
         elif op[0] == "compact":

@@ -1,15 +1,17 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import drive_mixed_ops
+from conftest import drive_mixed_ops, live_ids
 from fraglab import harness
 from fraglab.alloc import BestFitPolicy, FirstFitPolicy, NtfsLikePolicy, make_policy
 from fraglab.errors import (
+    EXIT_CONFIG,
     CorruptionError,
     NoSpaceError,
     NotFoundError,
     SimulatedAbortError,
     UsageError,
+    exit_code,
 )
 from fraglab.metrics import fragments_of
 from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
@@ -65,6 +67,21 @@ class TestPutNew:
         store.put_new("a", 4096)
         with pytest.raises(UsageError):
             store.put_new("a", 4096)
+
+    def test_refuses_ids_a_snapshot_cannot_hold(self):
+        # a tuple shaped like a temp key would pass for a leftover temp run, and True or 1.0 for object 1
+        store = make_store()
+        store.put_new(1, 4096)
+        for oid in (("~tmp", 7, 1), ("pad", 1), 1.0, 2.5, True, None):
+            with pytest.raises(UsageError) as refused:
+                store.put_new(oid, 4096)
+            assert str(refused.value) == f"object id must be an integer or a string, not {oid!r}"
+            assert exit_code(refused.value) == EXIT_CONFIG
+        store.put_new("1", 4096)
+        assert live_ids(store) == [1, "1"]
+        store.volume.audit(deep=True)
+        store.verify_layout()
+        assert live_ids(ObjectStore.from_state(store.to_state())) == [1, "1"]
 
     def test_no_space_put_rolls_back_completely(self):
         store = make_store(total=64, write_request_size=4096)
@@ -325,21 +342,16 @@ class TestDelete:
         assert fragments_of(rec) == 1
 
     def test_ids_keep_insertion_order_through_deletes_and_snapshots(self):
-        def order(store):
-            drawn = [store.id_at(i) for i in range(len(store))]
-            assert drawn == [rec.id for rec in store.records()]
-            return drawn
-
         store = make_store()
         for oid in "abcdef":
             store.put_new(oid, 3 * 4096)
         for oid in "adf":   # the first, a middle and the last
             store.delete(oid)
-        assert order(store) == ["b", "c", "e"]
-        assert order(ObjectStore.from_state(store.to_state())) == ["b", "c", "e"]
+        assert live_ids(store) == ["b", "c", "e"]
+        assert live_ids(ObjectStore.from_state(store.to_state())) == ["b", "c", "e"]
         with pytest.raises(NotFoundError):
             store.delete("a")
-        assert order(store) == ["b", "c", "e"]
+        assert live_ids(store) == ["b", "c", "e"]
         store.verify_layout()
 
     def test_live_bytes_tracks_records(self):
@@ -367,9 +379,9 @@ class TestGet:
         frag = make_store(size_hint=True)
         # pepper the volume so the same put lands in 4 pieces
         for i in range(8):
-            frag.put_new(("pad", i), 64 * KB)
+            frag.put_new(f"pad{i}", 64 * KB)
         for i in range(0, 8, 2):
-            frag.delete(("pad", i))
+            frag.delete(f"pad{i}")
         frag.config.size_hint = False
         frag.config.write_request_size = 64 * KB
         rec = frag.put_new("a", 1 * MB)
@@ -559,8 +571,8 @@ def test_records_keep_the_read_cost_of_their_extents():
     run_to_age(store, config.workload)
     assert store.config.policy.clusters_moved > 0   # the cleaner ran while aging
     _check_read_costs(store)
-    store.delete(store.id_at(0))
-    store.delete(store.id_at(5))
+    store.delete(live_ids(store)[0])
+    store.delete(live_ids(store)[5])
     _check_read_costs(store)
     assert store.compact() > 0
     _check_read_costs(store)
