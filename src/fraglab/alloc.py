@@ -38,7 +38,7 @@ from .schema import FIELDS, check_bounds, default, fixed_value
 from .volume import Extent, Volume, coalesce
 
 if TYPE_CHECKING:
-    from .store import ObjectStore
+    from .store import ObjectStore, StoreConfig
 
 Pieces = list[tuple[int, int]]   # (offset, length) pieces, until alloc's coalesce makes Extents of them
 
@@ -47,7 +47,6 @@ class AllocPolicy:
     """Base policy: the fragmenting flag and the store-facing hooks."""
 
     kind = "?"
-    requires_deferred_free = False
     fragmenting = False
 
     def alloc(self, volume: Volume, requests: list[tuple[int, int]]) -> list[Extent]:
@@ -73,8 +72,8 @@ class AllocPolicy:
     def prepare(self, store: "ObjectStore", clusters: int) -> None:
         """Called by the store before it starts allocating an object."""
 
-    def check_volume(self, volume: Volume) -> None:
-        """Called when a store is built; raises if the policy cannot run on the volume."""
+    def check(self, config: "StoreConfig", volume: Volume) -> None:
+        """Called when a store is built; raises if the policy cannot run with its config or volume."""
 
 
 def _take_plan(volume: Volume, plan: Pieces) -> Pieces:
@@ -147,7 +146,7 @@ class BuddyPolicy(AllocPolicy):
         self.min_order = min_order
         self.internal_frag_clusters = 0
 
-    def check_volume(self, volume: Volume) -> None:
+    def check(self, config: "StoreConfig", volume: Volume) -> None:
         n = volume.total_clusters
         if n & (n - 1):
             raise ConfigurationError("buddy policy needs a power-of-two volume size")
@@ -185,11 +184,10 @@ class NtfsLikePolicy(AllocPolicy):
     dropped, one whose run shrank is cut to it, and one whose run has grown
     keeps its cached (smaller) size, since the cache does not see frees.
     Frees under this policy must be deferred (reuse waits for the commit);
-    the store enforces that.
+    check enforces that.
     """
 
     kind = "ntfs_like"
-    requires_deferred_free = True
     fragmenting = True
 
     def __init__(self, cache_depth: int = default("store.policy.params.cache_depth")):
@@ -197,32 +195,25 @@ class NtfsLikePolicy(AllocPolicy):
         self.cache_depth = cache_depth
         self._cache: list[list[int]] = []  # mutable [offset, length] entries
 
+    def check(self, config: "StoreConfig", volume: Volume) -> None:
+        if config.free_mode != "deferred":
+            raise UsageError(f"{self.kind} requires free_mode='deferred'")
+
     def _refresh_cache(self, volume: Volume) -> None:
         self._cache = [[offset, length] for length, offset in volume.free.top(self.cache_depth)]
 
-    def _validate_cache(self, volume: Volume) -> None:
-        """Drop entries whose run no longer starts there; shrink those whose run shrank."""
-        live = []
-        for entry in self._cache:
-            length = volume.free.length_at(entry[0])
-            if length:
-                entry[1] = min(entry[1], length)
-                live.append(entry)
-        self._cache = live
-
     def _pick(self, volume: Volume, clusters: int) -> list[int] | None:
-        """The cache entry stage 1, else stage 2, takes from; None if both miss."""
-        fits = [entry for entry in self._cache if entry[1] >= clusters]
+        """The cache entry stage 1, else stage 2, takes from; None if both miss.  One key orders
+        both stages: (0, offset) for an entry wholly inside the outer band, else (1, -length, offset)."""
         outer_end = volume.bands[0].end_cluster
-        outer = [entry for entry in fits if entry[0] + entry[1] <= outer_end]
-        if outer:
-            return min(outer, key=lambda entry: entry[0])
-        return max(fits, key=lambda entry: (entry[1], -entry[0]), default=None)
+        return min((entry for entry in self._cache if entry[1] >= clusters), default=None,
+                   key=lambda e: (0, e[0]) if e[0] + e[1] <= outer_end else (1, -e[1], e[0]))
 
     def alloc(self, volume: Volume, requests: list[tuple[int, int]]) -> list[Extent]:
-        """Validate the cache once, then serve the requests: within one call only the
-        requests' own takes, each off the front of its entry's run, change the free set."""
-        self._validate_cache(volume)
+        """Validate the cache once, cutting each entry to its live run and dropping the empty ones; then
+        serve the requests: within one call only their own takes, off their runs' fronts, change the free set."""
+        self._cache = [[offset, live] for offset, length in self._cache
+                       if (live := min(length, volume.free.length_at(offset)))]
         return super().alloc(volume, requests)
 
     def _serve(self, volume: Volume, clusters: int, count: int) -> tuple[Pieces, int]:

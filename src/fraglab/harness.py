@@ -61,6 +61,10 @@ class ExperimentConfig:
             wl["n_objects"] = int(demand // size_dist.mean)
             if not wl["n_objects"]:
                 raise ConfigurationError(f"workload.occupancy {occupancy} holds no object of the mean size")
+            try:
+                schema.check_bounds("workload", ConfigurationError, n_objects=wl["n_objects"])
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{exc} (resolved from workload.occupancy {occupancy})") from None
         elif wl["n_objects"] is None:
             raise ConfigurationError("workload needs n_objects or occupancy")
         outputs = canon["outputs"]

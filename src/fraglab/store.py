@@ -83,9 +83,7 @@ class StoreConfig:
         check_bounds("store", UsageError, **vars(self))
         if self.write_request_size < volume.cluster_size:
             raise UsageError("write_request_size must be at least one cluster")
-        if self.policy.requires_deferred_free and self.free_mode != "deferred":
-            raise UsageError(f"{self.policy.kind} requires free_mode='deferred'")
-        self.policy.check_volume(volume)
+        self.policy.check(self, volume)
 
 
 def store_config(section: dict) -> StoreConfig:
@@ -419,6 +417,10 @@ class ObjectStore:
             )
         config = store_config(parse(state["config"], "store"))
         store = cls(Volume.from_state(state["volume"]), config)
+        staged = store.volume.deferred_clusters
+        if staged and config.free_mode == "immediate":   # an immediate store never checkpoints them
+            raise ConfigurationError(f"snapshot of a free_mode 'immediate' store holds {staged} deferred"
+                                     " clusters; only deferred frees stage")
         turned = state["bytes_turned_over"]
         if check_type(turned, int, "snapshot bytes_turned_over") < 0:
             raise ConfigurationError(f"snapshot bytes_turned_over is {turned}; it must be >= 0")

@@ -608,6 +608,11 @@ def create_volume(
                  cluster_size=cluster_size, seek_time=seek_time)
     bands = default_bands(total_clusters) if bands is None else [Band(*b) for b in bands]
     _validate_bands(bands, total_clusters)
+    # the cost model's limit: 2**128 one-cluster fragments in the slowest (last) band read in finite time
+    slowest = bands[-1].transfer_rate
+    if cluster_size > sys.float_info.max or (seek_time + cluster_size / slowest) * 2**128 > sys.float_info.max:
+        raise ConfigurationError("volume cost model overflows: 2**128 reads of one cluster, each a seek plus"
+                                 " cluster_size over the slowest band rate, must take a finite modeled time")
     vol = Volume(total_clusters, cluster_size, bands, seek_time)
     vol.free.add(0, total_clusters)
     return vol

@@ -319,6 +319,43 @@ MALFORMED = {
         json.dumps(occupancy_doc(0.5, total_clusters=10**400)),
         "workload.n_objects must be >= 1 and < 16777216, not 15625",
     ),
+    # the occupancy's count is refused by the n_objects bound, and the line says where it came from
+    "occupancy_past_the_n_objects_bound_names_occupancy": (
+        ("run", "validate"),
+        json.dumps(occupancy_doc(0.5, total_clusters=10**30)),
+        "not 15625000000000000310697263104 (resolved from workload.occupancy 0.5)",
+    ),
+    # the cost model's limit: 2**128 one-cluster reads in the slowest band must take a finite time,
+    # so no modeled rate reads 0.0 MB/s and no report holds Infinity
+    "cluster_size_past_the_float_range": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: (d["volume"].update(cluster_size=10**400),
+                                                 d["store"].update(write_request_size=10**400)))),
+        "volume cost model overflows",
+    ),
+    "seek_time_1e308_with_reads": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: (d["volume"].update(seek_time=1e308),
+                                                 d["workload"].update(read_fraction=0.5)))),
+        "volume cost model overflows",
+    ),
+    "band_rate_5e-324": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["volume"].update(bands=[[0, 2048, 5e-324]]))),
+        "volume cost model overflows",
+    ),
+    "snapshot_cluster_size_past_the_float_range": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["volume"].update(cluster_size=10**400))),
+        "volume cost model overflows",
+    ),
+    # an immediate store never checkpoints, so a staged run in its snapshot would never be freed
+    "snapshot_immediate_store_with_deferred_runs": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: (s["config"].update(free_mode="immediate"),
+                                                     s["volume"].update(free=[[1284, 764]], deferred=[[1280, 4]])))),
+        "snapshot of a free_mode 'immediate' store holds 4 deferred clusters",
+    ),
     "first_band_not_at_cluster_0": (
         ("run", "validate"),
         json.dumps(edit(config_doc(), lambda d: d["volume"].update(bands=[[1, 1024, 6e7]]))),

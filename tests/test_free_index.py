@@ -268,13 +268,15 @@ CONFIGS = [(kind, mode) for kind in LINEAR_POLICIES for mode in ("deferred", "im
 REQUEST_SIZES = (CLUSTER, 4 * CLUSTER, 6 * 1024)
 
 
-def build(kind, free_mode, oracle, total, wrs, checkpoint_every):
-    """A batched store over the index, or (oracle) a per-request store over the linear policies."""
+def build(kind, free_mode, oracle, total, wrs, checkpoint_every, outer=0.25, **params):
+    """A batched store over the index, or (oracle) a per-request store over the linear policies; the
+    volume's outer band is its first `outer` share, and params go to the policy."""
     make_volume, store_class = (linear_volume, PerRequestStore) if oracle else (create_volume, ObjectStore)
-    volume = make_volume(total, CLUSTER, [Band(0, total // 4, 60e6), Band(total // 4, total, 30e6)])
+    split = int(total * outer)
+    volume = make_volume(total, CLUSTER, [Band(0, split, 60e6), Band(split, total, 30e6)])
     # every kind fragments where it can; buddy never does
     fragmenting = kind != "buddy"
-    policy = LINEAR_POLICIES[kind]() if oracle else make_policy(kind, fragmenting)
+    policy = LINEAR_POLICIES[kind](**params) if oracle else make_policy(kind, fragmenting, params)
     policy.fragmenting = fragmenting
     return store_class(volume, StoreConfig(policy=policy, write_request_size=wrs,
                                            free_mode=free_mode, checkpoint_every=checkpoint_every))
@@ -360,3 +362,35 @@ def test_long_mixed_runs_match_linear_oracles(kind, free_mode):
         ends.append((served(log), state(store)))
     assert ends[0] == ends[1]
     assert sum(len(requests) for requests, _out in ends[0][0]) > 800
+
+
+
+# the ntfs_like run cache at small depths, and on a volume whose outer band is its first three
+# quarters, so the cache often holds several outer entries: stage 1's pick among them (the lowest
+# offset) and stage 2's tie between equal lengths (the lower offset) both decide what a request gets
+@pytest.mark.parametrize("cache_depth, outer", [(1, 0.25), (4, 0.75)])
+@settings(max_examples=20, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+@given(ops=ops, wrs=st.sampled_from(REQUEST_SIZES))
+def test_ntfs_like_cache_shapes_match_the_linear_oracle(cache_depth, outer, ops, wrs):
+    stores = [build("ntfs_like", "deferred", oracle, TOTAL, wrs, 3, outer, cache_depth=cache_depth)
+              for oracle in (False, True)]
+    logs = [recorded(store) for store in stores]
+    for oid, op in enumerate(ops):
+        for log in logs:
+            log.clear()
+        assert apply(stores[0], op, oid) == apply(stores[1], op, oid), op
+        assert served(logs[0]) == served(logs[1]), op
+        assert state(stores[0]) == state(stores[1]), op
+
+
+@pytest.mark.parametrize("cache_depth", (1, 4))
+def test_ntfs_like_long_runs_with_a_wide_outer_band_match_the_linear_oracle(cache_depth):
+    """The same, deterministic: on 256 clusters the cache misses and refreshes often enough to hold
+    several outer entries (on 4096 clusters, over 800 ops, it never held two)."""
+    ends = []
+    for oracle in (False, True):
+        store = build("ntfs_like", "deferred", oracle, 256, CLUSTER, 4, 0.75, cache_depth=cache_depth)
+        log = recorded(store)
+        drive_mixed_ops(store, seed=5, n_ops=400, size_range=(CLUSTER, 12 * CLUSTER), scan_every=0)
+        ends.append((served(log), state(store)))
+    assert ends[0] == ends[1]
