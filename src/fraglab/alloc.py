@@ -124,7 +124,7 @@ class BestFitPolicy(FitPolicy):
 
 
 class WorstFitPolicy(FitPolicy):
-    """Largest run wins, one request at a time; included for the exact-fit experiment's third arm."""
+    """Largest run wins, one request at a time; no bundled config runs it, only the golden all-policy grids."""
 
     kind, fit, plan = "worst_fit", "worst_fit", "largest_first_plan"
 

@@ -24,7 +24,7 @@ from .errors import ConfigurationError, FraglabError, InfeasibleSpecError, NoSpa
 from .metrics import FragReport
 from .store import ObjectStore, store_config
 from .volume import create_volume
-from .workload import SizeDist, WorkloadSpec, bulk_load, run_to_age
+from .workload import SizeDist, WorkloadSpec, bulk_load, check_bulk_fit, run_to_age
 
 CSV_HEADER = (
     "cell_key,policy,seed,storage_age,frag_mean,frag_p50,frag_p99,frag_max,"
@@ -53,7 +53,6 @@ class ExperimentConfig:
                 raise ConfigurationError("give n_objects or occupancy, not both")
             schema.check_bounds("volume", ConfigurationError, **volume)
             schema.check_bounds("workload", ConfigurationError, occupancy=occupancy)
-            size_dist.validate()
             capacity = volume["total_clusters"] * volume["cluster_size"]
             # float arithmetic while the capacity has a float value; exact past it, where floats overflow
             num, den = occupancy.as_integer_ratio()
@@ -83,17 +82,18 @@ class ExperimentConfig:
     def validate(self) -> tuple[int, int]:
         """Build a store as a run does (O(1)), checking every field, and drop it; then check feasibility.
         Returns (demand, capacity): the bytes of the objects at their mean size, and of the volume."""
-        self.workload.validate()
-        self.build()
-        capacity = self.volume["total_clusters"] * self.volume["cluster_size"]
-        demand = self.workload.n_objects * self.workload.size_dist.mean
+        volume, dist = self.build().volume, self.workload.size_dist
+        capacity = volume.capacity_bytes
+        demand = self.workload.n_objects * dist.mean
         if demand >= capacity:
             raise InfeasibleSpecError(
                 f"workload occupancy {demand / capacity:.2f} must be < 1"
                 f" ({demand} bytes of objects on a {capacity}-byte volume)",
-                required_clusters=-(-demand // self.volume["cluster_size"]),
-                available_clusters=self.volume["total_clusters"],
+                required_clusters=-(-demand // volume.cluster_size),
+                available_clusters=volume.total_clusters,
             )
+        if dist.kind == "constant" or not dist.half_width:   # every size is the mean; drawn ones wait for the run
+            check_bulk_fit(self.workload.n_objects * -(-dist.mean // volume.cluster_size), volume.total_clusters)
         return demand, capacity
 
     def build(self) -> ObjectStore:
@@ -182,7 +182,7 @@ class ExperimentGrid:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentGrid":
-        """Parse a grid; each cell must get a key of its own."""
+        """Parse a grid; it must have cells, and each cell must get a key of its own."""
         canon = schema.parse(doc, tree=schema.GRID)
         axes = {
             name: [schema.parse(value, schema.AXES[name][1]) for value in values]
@@ -191,6 +191,9 @@ class ExperimentGrid:
         }
         outputs = canon["outputs"]
         grid = cls(canon["base"], axes, canon["seeds"], outputs["csv"], outputs["json"])
+        for name, values in [("seeds", grid.seeds), *((f"axes.{axis}", v) for axis, v in axes.items())]:
+            if not values:
+                raise ConfigurationError(f"grid {name} is an empty list, so the grid has no cells")
         keys = set()
         for key, _doc in grid.cells():
             if key in keys:

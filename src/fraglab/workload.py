@@ -33,7 +33,7 @@ class SizeDist:
     mean: int = default("workload.size_dist.mean")        # bytes
     half_width: int = default("workload.size_dist.half_width")   # uniform: [mean-hw, mean+hw]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_bounds("workload.size_dist", UsageError, **vars(self))
         if self.half_width >= self.mean:
             raise UsageError(f"workload.size_dist.half_width {self.half_width} must be < mean {self.mean}")
@@ -46,7 +46,7 @@ def sample_size(dist: SizeDist, rng: Xorshift64Star) -> int:
     return rng.randint(dist.mean - dist.half_width, dist.mean + dist.half_width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
     n_objects: int
     size_dist: SizeDist
@@ -55,9 +55,8 @@ class WorkloadSpec:
     read_fraction: float = default("workload.read_fraction")
     measurement_ages: list[float] = default("workload.measurement_ages")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_bounds("workload", UsageError, **vars(self))
-        self.size_dist.validate()
         for age in self.measurement_ages:
             if age < 0 or age > self.target_age:
                 raise UsageError("measurement ages must lie in [0, target_age]")
@@ -65,22 +64,21 @@ class WorkloadSpec:
             raise UsageError("measurement ages must be sorted ascending")
 
 
+def check_bulk_fit(required: int, available: int) -> None:
+    """The bulk load's rule: its objects, each rounded up to whole clusters, fit on the volume."""
+    if required > available:
+        raise InfeasibleSpecError(f"bulk load needs {required} clusters but the volume has {available}",
+                                  required_clusters=required, available_clusters=available)
+
+
 def bulk_load(store: ObjectStore, spec: WorkloadSpec) -> None:
     """Populate an empty store; the result defines storage age 0."""
-    spec.validate()
     if len(store) != 0:
         raise UsageError("bulk_load requires an empty store")
     rng = Xorshift64Star(derive_seed(spec.seed, _BULK_STREAM))
     sizes = [sample_size(spec.size_dist, rng) for _ in range(spec.n_objects)]
-    cs = store.volume.cluster_size
-    required = sum(-(-s // cs) for s in sizes)
-    available = store.volume.total_clusters
-    if required > available:
-        raise InfeasibleSpecError(
-            f"bulk load needs {required} clusters but the volume has {available}",
-            required_clusters=required,
-            available_clusters=available,
-        )
+    required = sum(-(-s // store.volume.cluster_size) for s in sizes)
+    check_bulk_fit(required, store.volume.total_clusters)
     for oid, size in enumerate(sizes):
         try:
             store.put_new(oid, size)
@@ -89,7 +87,7 @@ def bulk_load(store: ObjectStore, spec: WorkloadSpec) -> None:
                 f"bulk load ran out of space at object {oid} of {spec.n_objects}"
                 f" (policy {store.config.policy.kind}): {exc}",
                 required_clusters=required,
-                available_clusters=available,
+                available_clusters=store.volume.total_clusters,
             ) from exc
     store.clock.reset_turnover()
 
@@ -100,7 +98,6 @@ def run_to_age(store: ObjectStore, spec: WorkloadSpec) -> list[FragReport]:
     Emits one report per measurement age (including age 0 if scheduled).
     A no-space during aging propagates; the harness snapshots and aborts.
     """
-    spec.validate()
     if len(store) == 0:
         raise UsageError("run_to_age requires a bulk-loaded store")
     rng = Xorshift64Star(derive_seed(spec.seed, _AGING_STREAM))

@@ -386,6 +386,18 @@ MALFORMED = {
         json.dumps(grid_doc(axes={"policy": [{"kind": "log_append", "fragmenting": False}]})),
         "store.policy.fragmenting must be true for log_append",
     ),
+    # an empty list makes a grid of no cells, which would write a header-only CSV and exit 0
+    "grid_seeds_empty": (("grid",), json.dumps(grid_doc(seeds=[])), "grid seeds is an empty list"),
+    **{f"grid_axis_{axis}_empty": (("grid",), json.dumps(grid_doc(axes={"policy": ["first_fit"], axis: []})),
+                                   f"grid axes.{axis} is an empty list") for axis in schema.AXES},
+    # buddy pads each 5-cluster object to a block of 8, which only a run finds: validate passes it
+    "buddy_bulk_load_out_of_space": (
+        ("run",),
+        json.dumps({"volume": {"total_clusters": 1024, "cluster_size": 4096},
+                    "store": {"policy": "buddy", "size_hint": True, "free_mode": "immediate"},
+                    "workload": {"n_objects": 150, "size_dist": {"kind": "constant", "mean": 20 * KB}}}),
+        "bulk load ran out of space at object 128 of 150 (policy buddy): no free buddy block of 8 clusters",
+    ),
 }
 
 
@@ -411,6 +423,10 @@ VALIDATE_LIKE_RUN = {
     # 2048 clusters hold blocks of order 11 at most
     "buddy_min_order_one_past_the_volume": config_doc(policy={"kind": "buddy", "params": {"min_order": 12}}),
     "buddy_min_order_20000": config_doc(policy={"kind": "buddy", "params": {"min_order": 20000}}),
+    # each 5,000-byte object takes 2 clusters: 600 need 1,200 of 1,000, though the mean bytes fill 73%
+    "constant_sizes_round_up_past_the_volume": edit(config_doc(), lambda d: (
+        d["volume"].update(total_clusters=1000),
+        d["workload"].update(n_objects=600, size_dist={"kind": "constant", "mean": 5000}))),
 }
 
 

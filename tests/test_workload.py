@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fraglab.alloc import FirstFitPolicy, LogAppendPolicy, POLICY_KINDS, make_policy
@@ -127,8 +129,7 @@ class TestRunToAge:
 
     def test_reads_interleave_and_report(self):
         store = make_store()
-        s = spec(n=10, mean=1 * MB, target=2.0, ages=[2.0])
-        s.read_fraction = 0.5
+        s = dataclasses.replace(spec(n=10, mean=1 * MB, target=2.0, ages=[2.0]), read_fraction=0.5)
         bulk_load(store, s)
         (report,) = run_to_age(store, s)
         assert report.reads is not None
@@ -188,16 +189,23 @@ class TestStorageAge:
 class TestSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(UsageError):
-            spec(n=0).validate()
+            spec(n=0)
         with pytest.raises(UsageError):
-            WorkloadSpec(1, SizeDist("constant", 0), 1.0).validate()
+            WorkloadSpec(1, SizeDist("constant", 0), 1.0)
         with pytest.raises(UsageError):
-            WorkloadSpec(1, SizeDist("uniform", 100, 100), 1.0).validate()
+            WorkloadSpec(1, SizeDist("uniform", 100, 100), 1.0)
         with pytest.raises(UsageError):
-            WorkloadSpec(1, SizeDist("constant", 100), -1.0).validate()
-        bad_ages = WorkloadSpec(1, SizeDist("constant", 100), 2.0, measurement_ages=[3.0])
+            WorkloadSpec(1, SizeDist("constant", 100), -1.0)
         with pytest.raises(UsageError):
-            bad_ages.validate()
+            WorkloadSpec(1, SizeDist("constant", 100), 2.0, measurement_ages=[3.0])
+
+    def test_checked_as_built_and_frozen(self):
+        with pytest.raises(UsageError, match=r"^workload.size_dist.half_width 100 must be < mean 100$"):
+            SizeDist("uniform", 100, 100)
+        with pytest.raises(UsageError, match=r"^measurement ages must lie in \[0, target_age\]$"):
+            spec(target=2.0, ages=[3.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec().read_fraction = 0.5
 
 
 @pytest.mark.parametrize("free_mode", ["deferred", "immediate"])
