@@ -1,9 +1,9 @@
 """Fragmentation and modeled-throughput measurement.
 
-A fragment is a maximal physically-contiguous run within an object's layout;
-a contiguous object has exactly 1.  Throughput figures here are modeled from
-the volume's seek/band cost model, never wall clock, and are labeled as such
-in the harness output.
+A fragment is a maximal physically-contiguous run within an object's layout:
+one extent of its record, whose consecutive extents never touch.  Throughput
+figures come from the volume's seek/band cost model, never wall clock, and
+are labeled as such in the harness output.
 """
 
 from __future__ import annotations
@@ -17,14 +17,8 @@ if TYPE_CHECKING:
 
 
 def fragments_of(record: "ObjectRecord") -> int:
-    """Maximal runs of physically adjacent clusters, in logical order."""
-    count = 0
-    prev_end = None
-    for offset, length in record.extents:
-        if offset != prev_end:
-            count += 1
-        prev_end = offset + length
-    return count
+    """The record's fragment count: its extent count, since no two consecutive extents touch."""
+    return len(record.extents)
 
 
 def nearest_rank(sorted_values: list[int], percentile: float) -> int:

@@ -37,13 +37,13 @@ class Field(NamedTuple):
 FIELDS = (
     Field("volume.total_clusters", int, bound=(1, None)),
     Field("volume.cluster_size", int, 4096, bound=(1, None)),
-    Field("volume.seek_time", float, 0.008, bound=(0, None)),   # seconds per non-adjacent extent
+    Field("volume.seek_time", float, 0.008, bound=(0, None)),   # seconds per extent read
     Field("volume.bands", [(int, int, float)], None),   # [start, end, bytes/s]; None: default_bands
     Field("store.policy.kind", str, "first_fit"),
     # the fits take the flag; buddy never fragments, ntfs_like and log_append always may
     Field("store.policy.fragmenting", bool, True,
           fixed={"buddy": False, "ntfs_like": True, "log_append": True}),
-    Field("store.policy.params.cache_depth", int, 32, "ntfs_like", bound=(1, None)),
+    Field("store.policy.params.cache_depth", int, 32, "ntfs_like", bound=(1, 1 << 63)),
     Field("store.policy.params.min_order", int, 0, "buddy", bound=(0, None)),
     Field("store.write_request_size", int, 65536),
     Field("store.size_hint", bool, False),
@@ -211,7 +211,8 @@ def dump(obj, path: str) -> dict:
         if isinstance(spec, dict):
             out[name] = dump(obj if name == "params" else getattr(obj, name), f"{path}.{name}")
         elif spec.kind in (None, getattr(obj, "kind", None)) and hasattr(obj, name):
-            out[name] = copy.deepcopy(getattr(obj, name))
+            value = getattr(obj, name)   # an array the object holds as a tuple dumps as a list
+            out[name] = copy.deepcopy(list(value) if isinstance(value, tuple) else value)
     return out
 
 

@@ -35,11 +35,11 @@ SNAPSHOT_VERSION = 4
 
 @dataclass(slots=True)
 class ObjectRecord:
-    """One stored object: logical size plus its physical layout."""
+    """One stored object: logical size plus its physical layout, one extent per fragment."""
 
     id: Hashable
     size: int                 # logical bytes
-    extents: list[Extent]     # logical order, adjacent pieces pre-merged
+    extents: list[Extent]     # logical order, from coalesce: consecutive extents never touch
     generation: int = 0       # replacement count
     read_seconds: float = 0.0  # volume.read_cost(extents), computed wherever the extents are written
 
@@ -440,5 +440,11 @@ class ObjectStore:
         store.volume.audit()
         store.verify_layout()
         for rec in store.records():
+            if rec.allocated_clusters * store.volume.cluster_size < rec.size:   # more is buddy's padding
+                raise ConfigurationError(f"snapshot object {rec.id!r} has size {rec.size}, more than its"
+                                         f" {rec.allocated_clusters} clusters hold")
+            if len(coalesce(rec.extents)) < len(rec.extents):
+                raise ConfigurationError(f"snapshot object {rec.id!r} has consecutive extents that touch;"
+                                         " a record's extents are its coalesced fragments")
             rec.read_seconds = store.volume.read_cost(rec.extents)
         return store

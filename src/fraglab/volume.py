@@ -80,7 +80,8 @@ def _validate_bands(bands: list[Band], total_clusters: int) -> None:
 
 
 def coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
-    """Merge (offset, length) pieces, in logical order, where one ends as the next begins."""
+    """Merge (offset, length) pieces, in logical order, where one ends as the next begins: the one
+    adjacency rule, so a record's extents, which all come from here, are its fragments."""
     out: list[Extent] = []
     prev_end = -1
     for offset, length in pieces:
@@ -476,23 +477,18 @@ class Volume:
     # -- cost model ---------------------------------------------------------
 
     def read_cost(self, extents: list[Extent]) -> float:
-        """Seconds to read the extents in logical order.
+        """Seconds to read a record's extents in logical order.
 
-        One seek per non-adjacent extent transition, counting the initial
-        seek, plus transfer time per band (extents spanning a band boundary
-        are split at the boundary).
+        One seek per extent, since a record's consecutive extents never touch
+        (coalesce made them), plus transfer time per band (extents spanning a
+        band boundary are split at the boundary), added extent by extent.
         """
         if not extents:
             raise InvariantViolationError("read_cost of an empty extent list")
-        seeks = 1
-        prev_end = extents[0][0]
         transfer = 0.0
         for offset, length in extents:
-            if offset != prev_end:
-                seeks += 1
-            prev_end = offset + length
             transfer += self._transfer_seconds(offset, length)
-        return self.seek_time * seeks + transfer
+        return self.seek_time * len(extents) + transfer
 
     def _transfer_seconds(self, offset: int, length: int) -> float:
         """Seconds to transfer [offset, offset+length): per band it covers, in address order,

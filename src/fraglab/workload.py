@@ -53,15 +53,16 @@ class WorkloadSpec:
     target_age: float
     seed: int = default("workload.seed")
     read_fraction: float = default("workload.read_fraction")
-    measurement_ages: list[float] = default("workload.measurement_ages")
+    measurement_ages: tuple[float, ...] = default("workload.measurement_ages")   # given as any sequence
 
     def __post_init__(self) -> None:
         check_bounds("workload", UsageError, **vars(self))
-        for age in self.measurement_ages:
+        object.__setattr__(self, "measurement_ages", ages := tuple(self.measurement_ages))
+        for age in ages:
             if age < 0 or age > self.target_age:
                 raise UsageError("measurement ages must lie in [0, target_age]")
-        if sorted(self.measurement_ages) != list(self.measurement_ages):
-            raise UsageError("measurement ages must be sorted ascending")
+        if sorted(set(ages)) != list(ages):
+            raise UsageError(f"measurement ages must be sorted ascending, each once: {list(ages)}")
 
 
 def check_bulk_fit(required: int, available: int) -> None:

@@ -376,6 +376,33 @@ MALFORMED = {
         json.dumps(edit(config_doc(), lambda d: d["workload"].update(measurement_ages=[1, 0]))),
         "measurement ages must be sorted ascending",
     ),
+    # a repeated age would report twice at one age, the second row with an empty write interval
+    "measurement_ages_repeated": (
+        ("run", "validate"),
+        json.dumps(edit(config_doc(), lambda d: d["workload"].update(measurement_ages=[0, 1.0, 1.0]))),
+        "measurement ages must be sorted ascending, each once: [0.0, 1.0, 1.0]",
+    ),
+    # the run cache's depth is an islice bound, which must stay below 2**63
+    "ntfs_like_cache_depth_2_63": (
+        ("run", "validate"),
+        json.dumps(config_doc(policy={"kind": "ntfs_like", "params": {"cache_depth": 2**63}})),
+        f"store.policy.params.cache_depth must be >= 1 and < {2**63}, not {2**63}",
+    ),
+    # a record's extents are its fragments, so two consecutive ones that touch would count one fragment
+    # twice; records and owner runs agree here, and the scan alone would pass it
+    "snapshot_object_extents_touch": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: (
+            s["objects"][0].__setitem__(3, [[0, 1], [1, 31]]),
+            s["volume"]["owners"].__setitem__(slice(0, 1), [[0, 1, 0, 0], [1, 31, 0, 1]])))),
+        "snapshot object 0 has consecutive extents that touch",
+    ),
+    # 10**9 live bytes on 32 clusters of 4 KiB would skew storage age and the modeled read rate
+    "snapshot_object_size_past_its_clusters": (
+        ("scan",),
+        json.dumps(edit(snapshot_state(), lambda s: s["objects"][0].__setitem__(1, 10**9))),
+        "snapshot object 0 has size 1000000000, more than its 32 clusters hold",
+    ),
     "grid_base_store_not_an_object": (
         ("grid",),
         json.dumps(grid_doc(base=edit(config_doc(), lambda d: d.update(store=5)))),
@@ -581,6 +608,19 @@ def test_snapshot_whose_records_disagree_with_the_owner_runs_is_refused_as_it_lo
     path.write_text(json.dumps(state))
     with pytest.raises(CorruptionError, match="object 0"):
         harness.load_snapshot(str(path))
+
+
+def test_snapshot_object_clusters_must_hold_its_size():
+    """An object's clusters must hold its size; more clusters than it needs is padding, as buddy's."""
+    state = snapshot_state()
+    assert state["objects"][0][1] == 32 * 4096
+    for size, loads in ((32 * 4096, True), (32 * 4096 + 1, False), (1, True)):
+        state["objects"][0][1] = size
+        if loads:
+            assert ObjectStore.from_state(copy.deepcopy(state)).to_state() == state
+        else:
+            with pytest.raises(ConfigurationError, match=f"has size {size}, more than its 32 clusters hold"):
+                ObjectStore.from_state(copy.deepcopy(state))
 
 
 def bundled_configs():

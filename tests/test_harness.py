@@ -106,7 +106,7 @@ class TestRun:
 
     def test_bundled_fig3_config_resolves(self):
         config = harness.load_config("fig3_smallobjects")
-        assert config.workload.measurement_ages == [0, 2, 4, 6, 8, 10]
+        assert config.workload.measurement_ages == (0, 2, 4, 6, 8, 10)
         assert config.workload.target_age == 10.0
         assert config.store["policy"]["kind"] == "ntfs_like"
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from fraglab.alloc import FirstFitPolicy
 from fraglab.metrics import FragReport, build_report, fragments_of, nearest_rank
 from fraglab.store import ObjectRecord, ObjectStore, StoreConfig
-from fraglab.volume import Band, Extent, create_volume
+from fraglab.volume import Band, Extent, coalesce, create_volume
 from fraglab.workload import SizeDist, WorkloadSpec, bulk_load, run_to_age
 
 KB = 1024
@@ -26,7 +26,9 @@ class TestFragmentsOf:
         assert fragments_of(record((0, 10), (50, 10))) == 2
 
     def test_adjacent_extents_coalesce(self):
-        assert fragments_of(record((0, 10), (10, 10), (50, 6))) == 2
+        extents = coalesce([(0, 10), (10, 10), (50, 6)])
+        assert extents == [Extent(0, 20), Extent(50, 6)]
+        assert fragments_of(record(*extents)) == 2
 
     @given(st.sets(st.integers(0, 63), min_size=1))
     def test_matches_cluster_set_oracle(self, clusters):

@@ -4,8 +4,9 @@ A random sequence of puts, safe writes, deletes, checkpoints and compactions
 runs on a small volume, with no-space rollbacks and safe writes aborted at
 each protocol step and then recovered.  A compaction must move the clusters
 the model's slide-to-zero cleaner moves and leave one free run at the top.
-After every operation the owner runs, expanded cluster by cluster, must
-equal the reference marker map, and they must be one run per extent of the
+After every operation no record may hold two consecutive extents that
+touch, the owner runs, expanded cluster by cluster, must equal the
+reference marker map, and they must be one run per extent of the
 records (and of an unfinished temp copy); between operations scan_layout()
 must equal the reference layout, the records must agree with it, and the
 deep audit must pass.
@@ -82,7 +83,14 @@ def _record_runs(store):
     return runs
 
 
+def _check_no_record_extents_touch(store):
+    """A record's extents are its fragments: no extent begins where the one before it ends."""
+    for rec in store.records():
+        assert all(a.end != b.offset for a, b in zip(rec.extents, rec.extents[1:])), (rec.id, rec.extents)
+
+
 def _check(store, model):
+    _check_no_record_extents_touch(store)
     assert expand_owner_runs(store.volume.owners) == model.markers
     assert store.volume.owners == _record_runs(store)
     assert len(store.volume.owners) <= model.live_pieces
@@ -200,5 +208,6 @@ def test_direct_release_at_a_due_checkpoint_matches_the_staged_path(kind, checkp
     for next_id, op in enumerate(ops):
         assert _apply(stores[0], op, next_id) == _apply(stores[1], op, next_id)
         assert _store_state(stores[0]) == _store_state(stores[1])
+        _check_no_record_extents_touch(stores[0])
         stores[0].volume.audit(deep=True)
         stores[0].verify_layout()

@@ -207,6 +207,12 @@ class TestSpecValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec().read_fraction = 0.5
 
+    def test_measurement_ages_cannot_change_after_the_checks(self):
+        held = spec(target=1.0, ages=[0.0, 1.0])
+        assert held.measurement_ages == (0.0, 1.0)
+        with pytest.raises(AttributeError):
+            held.measurement_ages.extend([0.5, 7.0])
+
 
 @pytest.mark.parametrize("free_mode", ["deferred", "immediate"])
 def test_log_append_ages_through_its_cleaner(free_mode):
