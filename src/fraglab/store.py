@@ -8,10 +8,9 @@ new copy that way and then atomically swaps it for the old one, so a full
 version of the object exists at every point.
 
 Every extent of an object's record is tagged on the volume with one owner
-run, (length, owner key, sequence number of its first cluster), written only
-here, also when compact() slides the data toward cluster 0.  scan_layout
-rebuilds all layouts from the runs alone: an independent check on the records,
-which verify_layout makes in place on the same sweep.
+run, written by Volume.write_runs for each object write here and in compact().
+scan_layout rebuilds all layouts from the runs alone: an independent check on
+the records, which verify_layout makes in place on the volume's same pass.
 Deferred frees commit every checkpoint_every mutating ops; with no step hook to
 look in between, an op whose checkpoint falls due frees straight into the free set.
 """
@@ -149,6 +148,7 @@ class ObjectStore:
 
     def put_new(self, oid: Hashable, size: int) -> ObjectRecord:
         """Create an object.  Fails atomically: on no-space nothing changes."""
+        self._refuse_in_flight("put")
         if not isinstance(oid, (int, str)) or isinstance(oid, bool):   # the ids a snapshot can hold
             raise UsageError(f"object id must be an integer or a string, not {oid!r}")
         if oid in self._records:
@@ -169,6 +169,7 @@ class ObjectStore:
         old extents are released afterwards, deferred or immediate per
         config.  A failure before the commit leaves the old version intact.
         """
+        self._refuse_in_flight("safe write")
         rec = self._require(oid)
         if new_size <= 0:
             raise UsageError("object size must be > 0")
@@ -209,6 +210,7 @@ class ObjectStore:
         return rec
 
     def delete(self, oid: Hashable) -> None:
+        self._refuse_in_flight("delete")
         rec = self._require(oid)
         self.volume.clear_markers(rec.extents)
         self._release(rec.extents)
@@ -216,6 +218,11 @@ class ObjectStore:
         self.clock.live_bytes -= rec.size
         self.clock.bytes_turned_over += rec.size
         self._after_mutation()
+
+    def _refuse_in_flight(self, what: str) -> None:
+        """Refuse an op or snapshot that would leak or lose an interrupted safe write's temp copy."""
+        if self._pending is not None:
+            raise UsageError(f"cannot {what} with a replacement in flight; recover() first")
 
     def recover(self) -> None:
         """Resolve an interrupted safe write: roll back before the swap,
@@ -239,23 +246,23 @@ class ObjectStore:
     def scan_layout(self) -> dict[Hashable, list[Extent]]:
         """Rebuild every object's extent list from the volume's owner runs alone.
 
-        Ignores the object records entirely.  The volume's sweep of its owner
-        runs finds runs outside the volume, overlapping runs and runs over
-        unallocated clusters, and _owner_groups leftover temp runs and keys whose
-        runs in sequence order do not number the clusters 0, 1, 2, ... with no
-        gap or repeat.  Each finding is a CorruptionError naming the offending
-        cluster.  Each run is one extent, so runs split where the records hold
-        one extent show as a mismatch in verify_layout.
+        Ignores the object records entirely.  The volume's one pass over its
+        owner runs (Volume.owner_groups) finds empty runs, runs outside the
+        volume, overlapping runs, runs over unallocated clusters, leftover temp
+        runs and keys whose runs in sequence order do not number the clusters
+        0, 1, 2, ... with no gap or repeat.  Each finding is a CorruptionError
+        naming the offending cluster.  Each run is one extent, so runs split
+        where the records hold one extent show as a mismatch in verify_layout.
         """
         owners = self.volume.owners
         return {key: [Extent(offset, owners[offset][0]) for offset in offsets]
-                for key, offsets in self._owner_groups().items()}
+                for key, offsets in self.volume.owner_groups().items()}
 
     def verify_layout(self) -> None:
-        """Scanner-vs-records cross check on scan_layout's sweep; raises on the first mismatch.
+        """Scanner-vs-records cross check on scan_layout's pass; raises on the first mismatch.
         Each record's extents are compared in place with its key's run offsets and the runs'
         lengths, so it keeps one offset list per object and builds Extents only for a message."""
-        groups = self._owner_groups()
+        groups = self.volume.owner_groups()
         records = self._records
         if groups.keys() != records.keys():
             missing, extra = records.keys() - groups.keys(), groups.keys() - records.keys()
@@ -267,33 +274,6 @@ class ObjectStore:
                 scanned = [Extent(offset, owners[offset][0]) for offset in groups[oid]]
                 raise CorruptionError(f"object {oid!r}: scan found {scanned}, records say {rec.extents}")
 
-    def _owner_groups(self) -> dict[Hashable, list[int]]:
-        """Each owner key's run offsets in sequence order, from the owner runs alone.  Findings
-        come in a fixed order: the volume's sweep, the lowest leftover temp run, then per key,
-        keys in the order of their lowest run, the first repeated or skipped sequence number."""
-        owners = self.volume.owners
-        groups: dict[Hashable, list[int]] = {}
-        for offset in self.volume.owner_runs():
-            key = owners[offset][1]
-            if isinstance(key, tuple) and key and key[0] == "~tmp":
-                raise CorruptionError(f"cluster {offset} holds a temp run outside any replacement",
-                                      cluster=offset)
-            offsets = groups.get(key)
-            if offsets is None:
-                groups[key] = [offset]
-            else:
-                offsets.append(offset)
-        for key, offsets in groups.items():
-            offsets.sort(key=lambda offset: owners[offset][2])
-            expected = 0
-            for offset in offsets:
-                length, _key, seq = owners[offset]
-                if seq != expected:
-                    what = "duplicate sequence" if seq < expected else "sequence gap before"
-                    raise CorruptionError(f"object {key!r}: {what} {seq} at cluster {offset}", cluster=offset)
-                expected = seq + length
-        return groups
-
     # -- maintenance --------------------------------------------------------
 
     def checkpoint_now(self) -> None:
@@ -304,8 +284,7 @@ class ObjectStore:
     def compact(self) -> int:
         """Commit deferred frees and slide every extent and its owner run toward cluster 0 in address
         order, as a log cleaner does, merging an object's extents that meet; returns clusters moved."""
-        if self._pending is not None:
-            raise UsageError("cannot compact with a replacement in flight")
+        self._refuse_in_flight("compact")
         self.checkpoint_now()
         volume = self.volume
         slid: dict[int, int] = {}   # old offset -> new offset of each extent
@@ -320,7 +299,7 @@ class ObjectStore:
         if top < volume.total_clusters:
             volume.free.add(top, volume.total_clusters - top)
         for rec in self._records.values():
-            rec.extents = self._write_runs(rec.id, coalesce((slid[e.offset], e.length) for e in rec.extents))
+            rec.extents = volume.write_runs(rec.id, coalesce((slid[e.offset], e.length) for e in rec.extents))
             rec.read_seconds = volume.read_cost(rec.extents)
         return moved
 
@@ -359,15 +338,7 @@ class ObjectStore:
         gave back its pieces, and no run was written yet."""
         policy = self.config.policy
         policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
-        return self._write_runs(key, policy.alloc(self.volume, self._append_plan(size_bytes)))
-
-    def _write_runs(self, key: Hashable, extents: list[Extent]) -> list[Extent]:
-        """Write one owner run of key for each extent, in logical order; returns the extents."""
-        seq = 0
-        for ext in extents:
-            self.volume.set_owner(ext.offset, ext.length, key, seq)
-            seq += ext.length
-        return extents
+        return self.volume.write_runs(key, policy.alloc(self.volume, self._append_plan(size_bytes)))
 
     def _account_write(self, rec: ObjectRecord) -> None:
         rec.read_seconds = self.volume.read_cost(rec.extents)
@@ -395,8 +366,7 @@ class ObjectStore:
     def to_state(self) -> dict:
         """Volume state, canonical store section, age clock and records; a reload starts
         the policy afresh, without its runtime state (a run cache, a log head)."""
-        if self._pending is not None:
-            raise UsageError("cannot snapshot with a replacement in flight")
+        self._refuse_in_flight("snapshot")
         return {
             "version": SNAPSHOT_VERSION,
             "volume": self.volume.to_state(),
@@ -410,7 +380,7 @@ class ObjectStore:
     @classmethod
     def from_state(cls, state: dict) -> "ObjectStore":
         version = state.get("version") if isinstance(state, dict) else None
-        if version != SNAPSHOT_VERSION:
+        if type(version) is not int or version != SNAPSHOT_VERSION:   # a JSON 4.0 equals 4 in Python
             raise ConfigurationError(
                 f"snapshot format version {version!r} is not supported"
                 f" (this fraglab reads version {SNAPSHOT_VERSION})"

@@ -6,12 +6,12 @@ queries.  Deferred frees, reusable only after the next checkpoint as in
 allocators whose log entry must commit before freed space is recycled, are a
 second FreeExtentIndex that nothing allocates from.
 
-Allocated clusters are tagged by owner runs written by the object layer, one
-per extent of an object: each run covers a contiguous range of clusters and
-names its owner key and the sequence number of its first cluster, the rest
-following in order.  Clearing or re-keying an extent takes exactly its run.
-The layout scanner reconstructs object layouts from the runs without
-consulting any object records.
+Allocated clusters are tagged by owner runs, one per extent of an object,
+each naming its owner key and the sequence number of its first cluster, the
+rest following in order.  The owner map lives here alone: write_runs numbers
+an object's runs, clearing or re-keying an extent takes exactly its run, and
+owner_groups checks and groups the runs in one pass, so the layout scanner
+reconstructs object layouts without consulting any object records.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
-from typing import Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, CorruptionError, InvariantViolationError
 from .schema import check_bounds, check_type, default, dump, parse
@@ -452,6 +452,15 @@ class Volume:
             raise InvariantViolationError(f"cluster {offset} already starts an owner run")
         self.owners[offset] = (length, key, first_seq)
 
+    def write_runs(self, key: Hashable, extents: list[Extent]) -> list[Extent]:
+        """Write one owner run of key for each extent, in logical order, numbering the clusters
+        0, 1, 2, ... across them; returns the extents."""
+        seq = 0
+        for offset, length in extents:
+            self.set_owner(offset, length, key, seq)
+            seq += length
+        return extents
+
     def _run_of(self, ext: Extent) -> tuple:
         """The owner run of an extent: the one at its offset, which must have its length."""
         run = self.owners.get(ext.offset)
@@ -516,7 +525,7 @@ class Volume:
 
         Only valid between operations (mid-protocol states may legitimately
         hold clusters that are neither owned nor free).  deep=True also
-        sweeps the owner runs (see owner_runs), in O(runs log runs).
+        checks the owner runs alone (see owner_groups), in O(runs log runs).
         """
         for name, runs in (("free", self.free), ("deferred", self.deferred)):
             runs.check()
@@ -529,26 +538,27 @@ class Volume:
                 f" + allocated {owned} != {self.total_clusters}"
             )
         if deep:
-            self.owner_runs()
+            self.owner_groups()
 
-    def owner_runs(self) -> list[int]:
-        """The owner runs' first clusters, the owner map's own keys, in offset order.
-
-        Sweeps the runs beside the free and deferred runs first: a run outside
-        the volume, overlapping the one before it, or over a free or deferred
-        cluster is a CorruptionError naming the first offending cluster.
-        """
+    def owner_groups(self) -> dict[Hashable, list[int]]:
+        """Each owner key's run offsets in sequence order, from the owner runs alone, grouped in one
+        pass in offset order.  Findings are CorruptionErrors naming a cluster, in a fixed order: in
+        that pass, a run that is empty, lies outside the volume, overlaps the one before it or covers
+        a free or deferred cluster; then the lowest leftover temp run (a tuple key: object ids are
+        integers or strings); then per key, keys in the order of their lowest run, the first
+        repeated or skipped sequence number."""
         owners = self.owners
-        offsets = sorted(owners)
         holes = sorted(chain(self.free, self.deferred))
         n_holes = len(holes)
         h = prev_end = 0
-        for offset in offsets:
-            length = owners[offset][0]
+        temp = None
+        groups: dict[Hashable, list[int]] = {}
+        for offset in sorted(owners):
+            length, key, _seq = owners[offset]
             end = offset + length
-            if length < 1 or end > self.total_clusters:
-                raise CorruptionError(f"owner run ({offset},{length}) is malformed:"
-                                      " it lies outside the volume", cluster=offset)
+            if length < 1 or offset < 0 or end > self.total_clusters:
+                why = "it is empty" if length < 1 else "it lies outside the volume"
+                raise CorruptionError(f"owner run ({offset},{length}) is malformed: {why}", cluster=offset)
             if offset < prev_end:
                 raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
             while h < n_holes and holes[h][0] + holes[h][1] <= offset:
@@ -559,7 +569,25 @@ class Volume:
                 raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
                                       f" it lies in {where}", cluster=cluster)
             prev_end = end
-        return offsets
+            if temp is None and isinstance(key, tuple):
+                temp = offset
+            offsets = groups.get(key)
+            if offsets is None:   # an exact one-slot list: most keys hold one run
+                groups[key] = [offset]
+            else:
+                offsets.append(offset)
+        if temp is not None:
+            raise CorruptionError(f"cluster {temp} holds a temp run outside any replacement", cluster=temp)
+        for key, offsets in groups.items():
+            offsets.sort(key=lambda offset: owners[offset][2])
+            expected = 0
+            for offset in offsets:
+                length, _key, seq = owners[offset]
+                if seq != expected:
+                    what = "duplicate sequence" if seq < expected else "sequence gap before"
+                    raise CorruptionError(f"object {key!r}: {what} {seq} at cluster {offset}", cluster=offset)
+                expected = seq + length
+        return groups
 
     # -- snapshots ------------------------------------------------------------
 

@@ -285,6 +285,22 @@ class TestCli:
         snap.write_text(json.dumps(state))
         assert cli.main(["scan", str(snap)]) == EXIT_INVARIANT
 
+    @pytest.mark.parametrize("mutate, message", [
+        # a run of no clusters inside object 0's run, so the owned count is unchanged
+        (lambda owners: owners.append([20, 0, 0, 20]), "owner run (20,0) is malformed: it is empty"),
+        # the only run that starts before cluster 0: nothing overlaps it
+        (lambda owners: owners[0].__setitem__(0, -5), "owner run (-5,32) is malformed: it lies outside the volume"),
+    ], ids=["empty_owner_run", "owner_run_at_a_negative_offset"])
+    def test_scan_names_what_is_wrong_with_a_malformed_owner_run(self, mutate, message, tmp_path, capsys):
+        state = _bulk_loaded_store().to_state()
+        assert state["volume"]["owners"][0] == [0, 32, 0, 0]
+        mutate(state["volume"]["owners"])
+        snap = tmp_path / "bad.json"
+        snap.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert cli.main(["scan", str(snap)]) == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"error: invariant violation: {message}\n"
+
     def test_infeasible_config_exit_code(self, tmp_path):
         doc = small_config_doc(n_objects=100)
         path = tmp_path / "bad.json"

@@ -305,6 +305,30 @@ class TestSafeWrite:
         store.volume.audit(deep=True)
         store.verify_layout()
 
+    @pytest.mark.parametrize("abort_step", SAFE_WRITE_STEPS)
+    def test_no_op_starts_before_recover_resolves_an_abort(self, abort_step):
+        """A second safe write before recover() would replace the pending one, leaking the first
+        temp copy's run and clusters; every op and a snapshot are refused, and change nothing."""
+        store = make_store(total=256)
+        store.put_new("a", 8 * 4096)
+        store.put_new("b", 8 * 4096)
+        store.step_hook = _abort_at(abort_step)
+        with pytest.raises(SimulatedAbortError):
+            store.safe_write("a", 8 * 4096)
+        store.step_hook = None
+        before = store_state(store)
+        for op in (lambda: store.put_new("c", 4096), lambda: store.safe_write("b", 8 * 4096),
+                   lambda: store.delete("b"), store.compact, store.to_state):
+            with pytest.raises(UsageError, match="with a replacement in flight; recover"):
+                op()
+            assert store_state(store) == before
+        store.recover()
+        store.safe_write("b", 8 * 4096)
+        store.checkpoint_now()
+        store.volume.audit(deep=True)
+        store.verify_layout()
+        assert store.volume.allocated_clusters == 16
+
     def test_recover_is_idempotent_noop_when_clean(self):
         store = make_store()
         store.put_new("a", 4096)

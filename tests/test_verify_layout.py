@@ -33,7 +33,9 @@ def oracle_owner_runs(volume):
     h = prev_end = 0
     for offset, (length, _key, _seq) in runs:
         end = offset + length
-        if length < 1 or end > volume.total_clusters:
+        if length < 1:
+            raise CorruptionError(f"owner run ({offset},{length}) is malformed: it is empty", cluster=offset)
+        if offset < 0 or end > volume.total_clusters:
             raise CorruptionError(f"owner run ({offset},{length}) is malformed:"
                                   " it lies outside the volume", cluster=offset)
         if offset < prev_end:
@@ -174,6 +176,8 @@ def corruptions(store):
         for hole in list(holes.runs())[:2]:
             out.append((f"run over {name} {hole.offset}", _runs({hole.offset: (1, 0, 0)})))
             out.append((f"ghost over {name} {hole.offset}", _runs({hole.offset: (1, "ghost", 0)})))
+    for offset in (-1, store.volume.total_clusters):   # a run just outside the volume, at either end
+        out.append((f"ghost at {offset}", _runs({offset: (1, "ghost", 0)})))
     if store.volume.free.total_free:
         hole = next(store.volume.free.runs()).offset
         out.append(("allocated but unowned", _unowned(hole, None)))
@@ -216,7 +220,7 @@ def test_single_corruptions_raise_what_the_copying_verify_raises(kind, free_mode
         for offset, length in free:
             volume.free.add(offset, length)
     # each kind of finding is among the outcomes, and some corruptions pass, so the comparison is not vacuous
-    findings = ["outside the volume", "overlap", "the free set", "temp run", "duplicate sequence",
+    findings = ["it is empty", "outside the volume", "overlap", "the free set", "temp run", "duplicate sequence",
                 "sequence gap", "unexpected", "records say", "ok"]
     for finding in findings + ["a deferred extent"] * (free_mode == "deferred"):
         assert any(finding in message for message in messages), finding

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BitmapOracle, assert_matches_oracle
-from fraglab.errors import ConfigurationError, InvariantViolationError
+from fraglab.errors import ConfigurationError, CorruptionError, InvariantViolationError
 from fraglab.rng import Xorshift64Star
 from fraglab.volume import (
     Band,
@@ -441,3 +441,30 @@ def test_deep_audit_catches_misplaced_runs(flat_volume, corruption, message):
     vol.audit()
     with pytest.raises(InvariantViolationError, match=message):
         vol.audit(deep=True)
+
+
+@pytest.mark.parametrize("second, message", [
+    ((10, 10, "x", 12), "object 'x': sequence gap before 12 at cluster 10"),
+    ((10, 10, "x", 5), "object 'x': duplicate sequence 5 at cluster 10"),
+    ((10, 10, ("~tmp", "x", 1), 0), "cluster 10 holds a temp run outside any replacement"),
+], ids=["gap", "repeat", "temp"])
+def test_deep_audit_checks_what_the_runs_number_and_leave(flat_volume, second, message):
+    """The deep audit is the layout scanner's own pass: it refuses sequence gaps, repeated
+    sequence numbers and leftover temp runs on a bare volume, with no store or records."""
+    vol = flat_volume
+    vol.free.take(0, 20)
+    vol.set_owner(0, 10, "x", 0)
+    vol.set_owner(*second)
+    vol.audit()
+    with pytest.raises(CorruptionError) as refused:
+        vol.audit(deep=True)
+    assert (str(refused.value), refused.value.cluster) == (message, 10)
+
+
+def test_write_runs_numbers_the_clusters_across_the_extents(flat_volume):
+    vol = flat_volume
+    vol.free.take(0, 30)
+    extents = [Extent(20, 4), Extent(0, 6), Extent(10, 10)]
+    assert vol.write_runs("x", extents) is extents
+    assert vol.owners == {20: (4, "x", 0), 0: (6, "x", 4), 10: (10, "x", 10)}
+    assert vol.owner_groups() == {"x": [20, 0, 10]}
