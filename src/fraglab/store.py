@@ -10,7 +10,8 @@ version of the object exists at every point.
 Every extent of an object's record is tagged on the volume with one owner
 run, written by Volume.write_runs for each object write here and in compact().
 scan_layout rebuilds all layouts from the runs alone: an independent check on
-the records, which verify_layout makes in place on the volume's same pass.
+the records.  verify_layout walks the records against the volume's sweep of
+the runs, and only on a mismatch scans, so its findings are scan_layout's.
 Deferred frees commit every checkpoint_every mutating ops; with no step hook to
 look in between, an op whose checkpoint falls due frees straight into the free set.
 """
@@ -244,35 +245,41 @@ class ObjectStore:
         return rec, rec.read_seconds
 
     def scan_layout(self) -> dict[Hashable, list[Extent]]:
-        """Rebuild every object's extent list from the volume's owner runs alone.
-
-        Ignores the object records entirely.  The volume's one pass over its
-        owner runs (Volume.owner_groups) finds empty runs, runs outside the
-        volume, overlapping runs, runs over unallocated clusters, leftover temp
-        runs and keys whose runs in sequence order do not number the clusters
-        0, 1, 2, ... with no gap or repeat.  Each finding is a CorruptionError
-        naming the offending cluster.  Each run is one extent, so runs split
-        where the records hold one extent show as a mismatch in verify_layout.
+        """Rebuild every object's extent list from the volume's owner runs alone, ignoring the
+        records; its findings are Volume.owner_groups' CorruptionErrors, each naming a cluster.  Each
+        run is one extent, so runs split where the records hold one extent show in verify_layout.
         """
         owners = self.volume.owners
         return {key: [Extent(offset, owners[offset][0]) for offset in offsets]
                 for key, offsets in self.volume.owner_groups().items()}
 
     def verify_layout(self) -> None:
-        """Scanner-vs-records cross check on scan_layout's pass; raises on the first mismatch.
-        Each record's extents are compared in place with its key's run offsets and the runs'
-        lengths, so it keeps one offset list per object and builds Extents only for a message."""
-        groups = self.volume.owner_groups()
-        records = self._records
-        if groups.keys() != records.keys():
-            missing, extra = records.keys() - groups.keys(), groups.keys() - records.keys()
+        """Scanner-vs-records cross check, raising on a mismatch what scan_layout names.  After the
+        volume's sweep (Volume.owner_sweep), no record may be empty, each extent must be the run at its
+        offset with its length, the record's id and the record's earlier clusters as sequence number,
+        and the records must hold one extent per run: exactly when scan_layout equals the records."""
+        runs = len(self.volume.owner_sweep())
+        get = self.volume.owners.get
+        for oid, rec in self._records.items():
+            seq = 0
+            for offset, length in rec.extents:
+                if get(offset) != (length, oid, seq):
+                    seq = 0
+                    break
+                seq += length
+            if not seq:   # no extents, or one that is not its run
+                break
+            runs -= len(rec.extents)
+        else:
+            if not runs:
+                return
+        scanned, records = self.scan_layout(), self._records
+        if scanned.keys() != records.keys():
+            missing, extra = records.keys() - scanned.keys(), scanned.keys() - records.keys()
             raise CorruptionError(f"scan object set mismatch: missing {sorted(map(repr, missing))},"
                                   f" unexpected {sorted(map(repr, extra))}")
-        owners = self.volume.owners
-        for oid, rec in records.items():
-            if [(offset, owners[offset][0]) for offset in groups[oid]] != rec.extents:
-                scanned = [Extent(offset, owners[offset][0]) for offset in groups[oid]]
-                raise CorruptionError(f"object {oid!r}: scan found {scanned}, records say {rec.extents}")
+        oid = next(oid for oid, rec in records.items() if scanned[oid] != rec.extents)   # one must differ
+        raise CorruptionError(f"object {oid!r}: scan found {scanned[oid]}, records say {records[oid].extents}")
 
     # -- maintenance --------------------------------------------------------
 

@@ -9,9 +9,9 @@ second FreeExtentIndex that nothing allocates from.
 Allocated clusters are tagged by owner runs, one per extent of an object,
 each naming its owner key and the sequence number of its first cluster, the
 rest following in order.  The owner map lives here alone: write_runs numbers
-an object's runs, clearing or re-keying an extent takes exactly its run, and
-owner_groups checks and groups the runs in one pass, so the layout scanner
-reconstructs object layouts without consulting any object records.
+an object's runs, clearing or re-keying an extent takes exactly its run,
+owner_sweep checks the runs in address order and owner_groups groups them over
+it, so the layout scanner rebuilds layouts without consulting object records.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import chain, islice, starmap
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
@@ -540,35 +541,42 @@ class Volume:
         if deep:
             self.owner_groups()
 
-    def owner_groups(self) -> dict[Hashable, list[int]]:
-        """Each owner key's run offsets in sequence order, from the owner runs alone, grouped in one
-        pass in offset order.  Findings are CorruptionErrors naming a cluster, in a fixed order: in
-        that pass, a run that is empty, lies outside the volume, overlaps the one before it or covers
-        a free or deferred cluster; then the lowest leftover temp run (a tuple key: object ids are
-        integers or strings); then per key, keys in the order of their lowest run, the first
-        repeated or skipped sequence number."""
+    def owner_sweep(self) -> list[int]:
+        """The owner-run offsets in address order.  One pass beside the free and deferred runs (merged,
+        not copied) raises a CorruptionError naming a cluster at the first run that is empty, lies
+        outside the volume, overlaps the one before it or covers a free or deferred cluster."""
         owners = self.owners
-        holes = sorted(chain(self.free, self.deferred))
-        n_holes = len(holes)
-        h = prev_end = 0
-        temp = None
-        groups: dict[Hashable, list[int]] = {}
-        for offset in sorted(owners):
-            length, key, _seq = owners[offset]
+        offsets, holes = sorted(owners), merge(self.free, self.deferred)
+        hole_start = hole_end = prev_end = 0
+        for offset in offsets:
+            length = owners[offset][0]
             end = offset + length
             if length < 1 or offset < 0 or end > self.total_clusters:
                 why = "it is empty" if length < 1 else "it lies outside the volume"
                 raise CorruptionError(f"owner run ({offset},{length}) is malformed: {why}", cluster=offset)
             if offset < prev_end:
                 raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
-            while h < n_holes and holes[h][0] + holes[h][1] <= offset:
-                h += 1
-            if h < n_holes and holes[h][0] < end:
-                cluster = max(offset, holes[h][0])
+            while hole_end <= offset:
+                hole_start, hole_length = next(holes, (sys.maxsize, 0))
+                hole_end = hole_start + hole_length
+            if hole_start < end:
+                cluster = max(offset, hole_start)
                 where = "a deferred extent" if self.deferred.intersects(cluster, 1) else "the free set"
                 raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
                                       f" it lies in {where}", cluster=cluster)
             prev_end = end
+        return offsets
+
+    def owner_groups(self) -> dict[Hashable, list[int]]:
+        """Each owner key's run offsets in sequence order, grouped over owner_sweep.  Findings are
+        CorruptionErrors naming a cluster, in a fixed order: the sweep's; then the lowest leftover temp
+        run (a tuple key: object ids are integers or strings); then per key, keys in the order of their
+        lowest run, the first repeated or skipped sequence number."""
+        owners = self.owners
+        temp = None
+        groups: dict[Hashable, list[int]] = {}
+        for offset in self.owner_sweep():
+            key = owners[offset][1]
             if temp is None and isinstance(key, tuple):
                 temp = offset
             offsets = groups.get(key)

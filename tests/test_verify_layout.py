@@ -6,11 +6,14 @@ tuples per key and compare whole Extent lists with the records.  Aged
 stores of every policy take one corruption at a time (split, shifted,
 re-keyed, renumbered, duplicated, dropped, added and temp runs, and edited
 records); after each, the store's scan and verify must raise what the oracle
-raises, with the same class, message and cluster, or pass where it passes.
-A memory guard holds verify_layout's traced peak to at most 200 B per owner
-run on a store of a few thousand single-extent objects.
+raises, with the same class, message and cluster, or pass where it passes, and
+the volume's sweep must check what the oracle's sweep checks.  On a store of a
+few thousand single-extent objects, a memory guard holds verify_layout's traced
+peak to at most 32 B per owner run, and a collection guard lets no cyclic
+garbage collection start during it.
 """
 
+import gc
 import tracemalloc
 from itertools import chain
 
@@ -132,6 +135,22 @@ def _extents(oid, edit):
     return corrupt
 
 
+def _both(first, second):
+    """A corruption made of two: first(store), then second(store)."""
+    def corrupt(store):
+        first(store)
+        second(store)
+    return corrupt
+
+
+def _swap(oid, other):
+    """A corruption that swaps two records' extent lists."""
+    def corrupt(store):
+        a, b = store._records[oid], store._records[other]
+        a.extents, b.extents = b.extents, a.extents
+    return corrupt
+
+
 def _unowned(offset, run):
     """A corruption that takes a free cluster without freeing it anywhere, and gives it run."""
     def corrupt(store):
@@ -172,6 +191,11 @@ def corruptions(store):
             key, lambda extents, at=offset: [Extent(o, n + (o == at)) for o, n in extents])))
         out.append((f"reverse {key}'s extents", _extents(key, lambda extents: extents[::-1])))
         out.append((f"truncate {key}'s extents", _extents(key, lambda extents: extents[:-1])))
+        out.append((f"empty {key}'s extents", _extents(key, lambda extents: [])))
+        out.append((f"empty {key}'s extents and drop its runs", _both(
+            _extents(key, lambda extents: []), _runs(dict.fromkeys(by_key[key])))))
+        out.append((f"list {key}'s first extent twice", _extents(key, lambda extents: extents[:1] + extents)))
+        out.append((f"swap {key}'s extents with the next key's", _swap(key, (key + 1) % len(store))))
     for name, holes in (("free", store.volume.free), ("deferred", store.volume.deferred)):
         for hole in list(holes.runs())[:2]:
             out.append((f"run over {name} {hole.offset}", _runs({hole.offset: (1, 0, 0)})))
@@ -212,6 +236,8 @@ def test_single_corruptions_raise_what_the_copying_verify_raises(kind, free_mode
         verified = outcome(ObjectStore.verify_layout, aged)
         assert verified == outcome(oracle_verify, aged), name
         assert outcome(ObjectStore.scan_layout, aged) == outcome(oracle_scan, aged), name
+        swept = outcome(lambda store: store.volume.owner_sweep(), aged)
+        assert swept == outcome(lambda store: [offset for offset, _run in oracle_owner_runs(store.volume)], aged), name
         messages.append(verified[1] if verified[0] != "ok" else "ok")
         volume.owners = dict(owners)
         for rec in aged.records():
@@ -221,13 +247,14 @@ def test_single_corruptions_raise_what_the_copying_verify_raises(kind, free_mode
             volume.free.add(offset, length)
     # each kind of finding is among the outcomes, and some corruptions pass, so the comparison is not vacuous
     findings = ["it is empty", "outside the volume", "overlap", "the free set", "temp run", "duplicate sequence",
-                "sequence gap", "unexpected", "records say", "ok"]
+                "sequence gap", "unexpected", "records say", "records say []", "ok"]
     for finding in findings + ["a deferred extent"] * (free_mode == "deferred"):
         assert any(finding in message for message in messages), finding
 
 
-def test_verify_peak_stays_within_200_bytes_per_owner_run():
-    """verify_layout keeps one offset list per object, not a second copy of every layout."""
+@pytest.fixture(scope="module")
+def hinted_store():
+    """3,000 objects of 1-32 clusters, best fit with a size hint, each safe-written once on average."""
     total = 1 << 16
     volume = create_volume(total, CLUSTER, [Band(0, total, 60e6)])
     store = ObjectStore(volume, StoreConfig(policy=make_policy("best_fit", fragmenting=True), size_hint=True,
@@ -239,13 +266,35 @@ def test_verify_peak_stays_within_200_bytes_per_owner_run():
     for _ in range(n_objects):
         store.safe_write(rng.randrange(n_objects), rng.randint(CLUSTER, 32 * CLUSTER))
     store.verify_layout()
+    assert len(volume.owners) < 1.1 * n_objects   # nearly every object is one extent
+    return store
+
+
+def test_verify_peak_stays_within_32_bytes_per_owner_run(hinted_store):
+    """verify_layout holds one sorted list of the run offsets, and nothing per object."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        store.verify_layout()
+        hinted_store.verify_layout()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    runs = len(volume.owners)
-    assert runs < 1.1 * n_objects   # nearly every object is one extent
-    assert peak <= 200 * runs, f"verify_layout peaked at {peak / runs:.0f} B per owner run"
+    runs = len(hinted_store.volume.owners)
+    assert peak <= 32 * runs, f"verify_layout peaked at {peak / runs:.0f} B per owner run"
+
+
+def test_verify_starts_no_garbage_collection(hinted_store):
+    """verify_layout leaves no container objects alive per object or per free run, so after a
+    collection it does not set off the next one."""
+    assert gc.isenabled()
+    started = []
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        hinted_store.verify_layout()
+    finally:
+        gc.callbacks.remove(count)
+    assert started == [], f"verify_layout started collections of generations {started}"
