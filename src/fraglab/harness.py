@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -269,6 +268,8 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> dict:
     if parallelism <= 1 or len(cells) <= 1:
         results = [_run_cell(c) for c in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor   # here, so serial runs never load multiprocessing
+
         # the pool starts all its workers at once, so never more than there are cells
         with ProcessPoolExecutor(max_workers=min(parallelism, len(cells))) as pool:
             results = list(pool.map(_run_cell, cells))

@@ -18,7 +18,7 @@ if TYPE_CHECKING:
 
 def fragments_of(record: "ObjectRecord") -> int:
     """The record's fragment count: its extent count, since no two consecutive extents touch."""
-    return len(record.extents)
+    return len(record.layout) // 2
 
 
 def nearest_rank(sorted_values: list[int], percentile: float) -> int:

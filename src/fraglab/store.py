@@ -7,8 +7,10 @@ in one call, which lands whole or takes nothing; an update writes a complete
 new copy that way and then atomically swaps it for the old one, so a full
 version of the object exists at every point.
 
-Every extent of an object's record is tagged on the volume with one owner
-run, written by Volume.write_runs for each object write here and in compact().
+A record holds its layout as one flat tuple of ints, read as (offset, length)
+pairs; only the edge, ObjectRecord.extents, builds Extent lists.  Each extent
+of a record is tagged on the volume with one owner run, written by
+Volume.write_runs for each object write here and in compact().
 scan_layout rebuilds all layouts from the runs alone: an independent check on
 the records.  verify_layout walks the records against the volume's sweep of
 the runs, and only on a mismatch scans, so its findings are scan_layout's.
@@ -19,33 +21,50 @@ look in between, an op whose checkpoint falls due frees straight into the free s
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import sub
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .alloc import AllocPolicy, make_policy
 from .errors import ConfigurationError, CorruptionError, NotFoundError, UndefinedAgeError, UsageError
 from .schema import check_bounds, check_type, default, dump, parse
-from .volume import Extent, Volume, coalesce
+from .volume import Extent, Volume, as_extent, coalesce
 
 
 # the ObjectStore.to_state() format; from_state refuses every other version
 SNAPSHOT_VERSION = 4
 
 
-@dataclass(slots=True)
 class ObjectRecord:
-    """One stored object: logical size plus its physical layout, one extent per fragment."""
+    """One stored object: logical size plus its physical layout, one extent per fragment, held as one
+    flat tuple (offset0, length0, offset1, length1, ...) in logical order, from coalesce: consecutive
+    extents never touch.  extents is a view that builds an Extent list on each read; constructing or
+    assigning extents takes a sequence of (offset, length) extents."""
 
-    id: Hashable
-    size: int                 # logical bytes
-    extents: list[Extent]     # logical order, from coalesce: consecutive extents never touch
-    generation: int = 0       # replacement count
-    read_seconds: float = 0.0  # volume.read_cost(extents), computed wherever the extents are written
+    __slots__ = ("id", "size", "layout", "generation", "read_seconds")
+
+    def __init__(self, id: Hashable, size: int, extents: Sequence[tuple[int, int]], generation: int = 0):
+        self.id, self.size, self.extents, self.generation = id, size, extents, generation
+        self.read_seconds = 0.0   # volume.read_cost of the layout, computed wherever it is written
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The layout's (offset, length) pairs, in logical order."""
+        it = iter(self.layout)
+        return zip(it, it)
+
+    @property
+    def extents(self) -> list[Extent]:
+        layout = self.layout   # most records hold one extent, whose pair is the layout itself
+        return [as_extent(layout)] if len(layout) == 2 else list(map(as_extent, self.pairs()))
+
+    @extents.setter
+    def extents(self, extents: Sequence[tuple[int, int]]) -> None:
+        # as in the view, a one-extent layout is that extent's pair
+        self.layout: tuple[int, ...] = tuple(extents[0]) if len(extents) == 1 else tuple(chain.from_iterable(extents))
 
     @property
     def allocated_clusters(self) -> int:
-        return sum(e.length for e in self.extents)
+        return sum(self.layout[1::2])
 
 
 @dataclass
@@ -99,8 +118,6 @@ def store_config(section: dict) -> StoreConfig:
 class _ReplaceTxn:
     """In-flight safe write; what recovery needs to finish or undo it."""
 
-    oid: Hashable
-    new_size: int
     old_extents: list[Extent]   # emptied once they are released
     temp_key: tuple
     new_extents: list[Extent]
@@ -158,7 +175,7 @@ class ObjectStore:
             raise UsageError("object size must be > 0")
         extents = self._allocate(oid, size)
         rec = self._insert(ObjectRecord(id=oid, size=size, extents=extents))
-        self._account_write(rec)
+        self._account_write(rec, extents)
         self._after_mutation()
         return rec
 
@@ -176,34 +193,31 @@ class ObjectStore:
             raise UsageError("object size must be > 0")
         temp_key = ("~tmp", oid, rec.generation + 1)
         new_extents = self._allocate(temp_key, new_size)
-        # making room may have moved objects (a cleaner pass), so the old extents are read now
-        txn = self._pending = _ReplaceTxn(oid, new_size, rec.extents, temp_key, new_extents)
+        # making room may have moved objects (a cleaner pass), so the old extents are read now (see delete)
+        old_extents = rec.extents
+        txn = self._pending = _ReplaceTxn(old_extents, temp_key, new_extents)
         hook = self.step_hook   # the hook installed as the write starts sees each of its steps
         if hook is not None:
             hook("temp_written")
             hook("forced")  # durability point for the temp copy; no-op here
-        self._commit_replace(txn)
+        # the atomic swap: one step after which the new version is current
+        self.volume.clear_markers(old_extents)
+        self.volume.rekey_owners(new_extents, temp_key, oid)
+        rec.extents = new_extents
+        self.clock.live_bytes += new_size - rec.size
+        rec.size = new_size
+        rec.generation += 1
+        self._account_write(rec, new_extents)
+        txn.committed = True
         if hook is not None:
             hook("replaced")
-        self._release(txn.old_extents)
+        self._release(old_extents)
         txn.old_extents = []   # nothing is left for recover() to roll forward
         if hook is not None:
             hook("old_released")
         self._pending = None
         self._after_mutation()
         return rec
-
-    def _commit_replace(self, txn: _ReplaceTxn) -> None:
-        """The atomic swap: one step after which the new version is current."""
-        rec = self._records[txn.oid]
-        self.volume.clear_markers(txn.old_extents)
-        self.volume.rekey_owners(txn.new_extents, txn.temp_key, txn.oid)
-        rec.extents = txn.new_extents
-        self.clock.live_bytes += txn.new_size - rec.size
-        rec.size = txn.new_size
-        rec.generation += 1
-        self._account_write(rec)
-        txn.committed = True
 
     def _insert(self, rec: ObjectRecord) -> ObjectRecord:
         self._records[rec.id] = rec
@@ -213,8 +227,9 @@ class ObjectStore:
     def delete(self, oid: Hashable) -> None:
         self._refuse_in_flight("delete")
         rec = self._require(oid)
-        self.volume.clear_markers(rec.extents)
-        self._release(rec.extents)
+        extents = rec.extents   # Extents, whose .length bench/spans.py's traced clear_markers sums
+        self.volume.clear_markers(extents)
+        self._release(extents)
         del self._records[oid]
         self.clock.live_bytes -= rec.size
         self.clock.bytes_turned_over += rec.size
@@ -261,15 +276,18 @@ class ObjectStore:
         runs = len(self.volume.owner_sweep())
         get = self.volume.owners.get
         for oid, rec in self._records.items():
-            seq = 0
-            for offset, length in rec.extents:
-                if get(offset) != (length, oid, seq):
+            layout = rec.layout
+            seq = i = 0
+            while i < len(layout):   # indexes, not pairs(): no iterator to build per record
+                length = layout[i + 1]
+                if get(layout[i]) != (length, oid, seq):
                     seq = 0
                     break
                 seq += length
+                i += 2
             if not seq:   # no extents, or one that is not its run
                 break
-            runs -= len(rec.extents)
+            runs -= len(layout) // 2
         else:
             if not runs:
                 return
@@ -296,18 +314,18 @@ class ObjectStore:
         volume = self.volume
         slid: dict[int, int] = {}   # old offset -> new offset of each extent
         moved = top = 0
-        for offset, length in sorted(ext for rec in self._records.values() for ext in rec.extents):
+        for offset, length in sorted(ext for rec in self._records.values() for ext in rec.pairs()):
             slid[offset] = top
             moved += length if offset != top else 0
             top += length
         for rec in self._records.values():
-            volume.clear_markers(rec.extents)
+            volume.clear_markers(rec.extents)   # an Extent list, as in delete
         volume.free.clear()
         if top < volume.total_clusters:
             volume.free.add(top, volume.total_clusters - top)
         for rec in self._records.values():
-            rec.extents = volume.write_runs(rec.id, coalesce((slid[e.offset], e.length) for e in rec.extents))
-            rec.read_seconds = volume.read_cost(rec.extents)
+            rec.extents = volume.write_runs(rec.id, coalesce((slid[o], n) for o, n in rec.pairs()))
+            rec.read_seconds = volume.read_cost(rec.pairs())
         return moved
 
     def take_write_interval(self) -> tuple[int, float]:
@@ -347,8 +365,8 @@ class ObjectStore:
         policy.prepare(self, -(-size_bytes // self.volume.cluster_size))
         return self.volume.write_runs(key, policy.alloc(self.volume, self._append_plan(size_bytes)))
 
-    def _account_write(self, rec: ObjectRecord) -> None:
-        rec.read_seconds = self.volume.read_cost(rec.extents)
+    def _account_write(self, rec: ObjectRecord, extents: list[Extent]) -> None:   # extents: rec's new layout
+        rec.read_seconds = self.volume.read_cost(extents)
         self.clock.bytes_turned_over += rec.size
         self._interval_bytes += rec.size
         self._interval_seconds += rec.read_seconds
@@ -380,7 +398,7 @@ class ObjectStore:
             "config": dump(self.config, "store"),
             "bytes_turned_over": self.clock.bytes_turned_over,
             # [id, size, generation, [[offset, length], ...]] per object
-            "objects": [[rec.id, rec.size, rec.generation, [list(e) for e in rec.extents]]
+            "objects": [[rec.id, rec.size, rec.generation, [[o, n] for o, n in rec.pairs()]]
                         for rec in self._records.values()],
         }
 
@@ -412,7 +430,7 @@ class ObjectStore:
             if check_type(generation, int, f"snapshot object {oid!r} generation") < 0:
                 raise ConfigurationError(f"snapshot object {oid!r} has generation {generation}; it must be >= 0")
             extents = check_type(extents, [(int, int)], f"snapshot object {oid!r} extents")
-            store._insert(ObjectRecord(oid, size, [Extent(*ext) for ext in extents], generation))
+            store._insert(ObjectRecord(oid, size, extents, generation))
         # a snapshot that loads is one that scans clean: the records must match the owner runs
         store.volume.audit()
         store.verify_layout()
@@ -420,8 +438,8 @@ class ObjectStore:
             if rec.allocated_clusters * store.volume.cluster_size < rec.size:   # more is buddy's padding
                 raise ConfigurationError(f"snapshot object {rec.id!r} has size {rec.size}, more than its"
                                          f" {rec.allocated_clusters} clusters hold")
-            if len(coalesce(rec.extents)) < len(rec.extents):
+            if 2 * len(coalesce(rec.pairs())) < len(rec.layout):
                 raise ConfigurationError(f"snapshot object {rec.id!r} has consecutive extents that touch;"
                                          " a record's extents are its coalesced fragments")
-            rec.read_seconds = store.volume.read_cost(rec.extents)
+            rec.read_seconds = store.volume.read_cost(rec.pairs())
         return store

@@ -20,6 +20,7 @@ import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import merge
 from itertools import chain, islice, starmap
 from typing import Hashable, Iterable, Iterator, NamedTuple
@@ -80,17 +81,22 @@ def _validate_bands(bands: list[Band], total_clusters: int) -> None:
         raise ConfigurationError("last band must end at the last cluster")
 
 
+# an Extent from an (offset, length) pair, without the Python-level call of Extent.__new__
+as_extent = partial(tuple.__new__, Extent)
+
+
 def coalesce(pieces: Iterable[tuple[int, int]]) -> list[Extent]:
     """Merge (offset, length) pieces, in logical order, where one ends as the next begins: the one
     adjacency rule, so a record's extents, which all come from here, are its fragments."""
     out: list[Extent] = []
     prev_end = -1
-    for offset, length in pieces:
+    for piece in pieces:
+        offset, length = piece
         if offset == prev_end:
             last = out[-1]
             out[-1] = Extent(last.offset, last.length + length)
         else:
-            out.append(Extent(offset, length))
+            out.append(as_extent(piece))
         prev_end = offset + length
     return out
 
@@ -454,63 +460,65 @@ class Volume:
         self.owners[offset] = (length, key, first_seq)
 
     def write_runs(self, key: Hashable, extents: list[Extent]) -> list[Extent]:
-        """Write one owner run of key for each extent, in logical order, numbering the clusters
-        0, 1, 2, ... across them; returns the extents."""
+        """Write one owner run of key for each (offset, length) extent, in logical order, numbering
+        the clusters 0, 1, 2, ... across them; returns the extents."""
         seq = 0
         for offset, length in extents:
             self.set_owner(offset, length, key, seq)
             seq += length
         return extents
 
-    def _run_of(self, ext: Extent) -> tuple:
+    def _run_of(self, offset: int, length: int) -> tuple:
         """The owner run of an extent: the one at its offset, which must have its length."""
-        run = self.owners.get(ext.offset)
-        if run is None or run[0] != ext.length:
-            raise InvariantViolationError(f"extent {tuple(ext)} is not one owner run")
+        run = self.owners.get(offset)
+        if run is None or run[0] != length:
+            raise InvariantViolationError(f"extent {(offset, length)} is not one owner run")
         return run
 
-    def clear_markers(self, extents: Iterable[Extent]) -> None:
-        """Drop the owner run of each extent."""
-        for ext in extents:
-            self._run_of(ext)
-            del self.owners[ext.offset]
+    def clear_markers(self, extents: Iterable[tuple[int, int]]) -> None:
+        """Drop the owner run of each (offset, length) extent."""
+        for offset, length in extents:
+            self._run_of(offset, length)
+            del self.owners[offset]
 
-    def rekey_owners(self, extents: Iterable[Extent], old_key, new_key) -> None:
-        """Hand the owner run of each extent from old_key to new_key, keeping its sequence
-        number; a run owned by any other key is an invariant breach."""
-        for ext in extents:
-            _length, key, seq = self._run_of(ext)
+    def rekey_owners(self, extents: Iterable[tuple[int, int]], old_key, new_key) -> None:
+        """Hand the owner run of each (offset, length) extent from old_key to new_key, keeping its
+        sequence number; a run owned by any other key is an invariant breach."""
+        for offset, length in extents:
+            _length, key, seq = self._run_of(offset, length)
             if key != old_key:
-                raise InvariantViolationError(f"extent {tuple(ext)} is not a run of {old_key!r}")
-            self.owners[ext.offset] = (ext.length, new_key, seq)
+                raise InvariantViolationError(f"extent {(offset, length)} is not a run of {old_key!r}")
+            self.owners[offset] = (length, new_key, seq)
 
     # -- cost model ---------------------------------------------------------
 
-    def read_cost(self, extents: list[Extent]) -> float:
-        """Seconds to read a record's extents in logical order.
+    def read_cost(self, extents: Iterable[tuple[int, int]]) -> float:
+        """Seconds to read a record's (offset, length) extents in logical order.
 
         One seek per extent, since a record's consecutive extents never touch
         (coalesce made them), plus transfer time per band (extents spanning a
         band boundary are split at the boundary), added extent by extent.
         """
-        if not extents:
-            raise InvariantViolationError("read_cost of an empty extent list")
         transfer = 0.0
+        count = 0
         for offset, length in extents:
             transfer += self._transfer_seconds(offset, length)
-        return self.seek_time * len(extents) + transfer
+            count += 1
+        if not count:
+            raise InvariantViolationError("read_cost of an empty extent list")
+        return self.seek_time * count + transfer
 
     def _transfer_seconds(self, offset: int, length: int) -> float:
         """Seconds to transfer [offset, offset+length): per band it covers, in address order,
         its clusters there times the cluster size over the band's rate, summed from 0.0."""
         seconds = 0.0
-        for band in self.bands:
-            if offset >= band.end_cluster:
+        for _start, end, rate in self.bands:
+            if offset >= end:
                 continue
-            if offset + length <= band.end_cluster:
-                return seconds + length * self.cluster_size / band.transfer_rate
-            span = band.end_cluster - offset
-            seconds += span * self.cluster_size / band.transfer_rate
+            if offset + length <= end:
+                return seconds + length * self.cluster_size / rate
+            span = end - offset
+            seconds += span * self.cluster_size / rate
             offset += span
             length -= span
         return seconds

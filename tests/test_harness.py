@@ -185,7 +185,8 @@ class TestGrid:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        # run_grid imports the pool class when it needs one, so patch where it imports it from
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         summary = harness.run_grid(harness.ExperimentGrid.from_dict(small_grid_doc(tmp_path)), parallelism=5000)
         assert asked == [6] and summary == {"cells": 6, "failed": []}
 
@@ -458,7 +459,8 @@ def test_unversioned_snapshot_is_rejected_with_one_line(tmp_path, capsys):
 
 def test_fraglab_loads_only_the_standard_library():
     """fraglab has no runtime dependency: in a fresh interpreter, importing it and
-    validating a bundled config loads only standard-library modules and fraglab's own."""
+    validating a bundled config loads only standard-library modules and fraglab's own,
+    and no process pool: only a parallel grid loads multiprocessing."""
     import subprocess
     import sys
     from pathlib import Path
@@ -474,6 +476,6 @@ def test_fraglab_loads_only_the_standard_library():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": src, "PATH": ""}).stdout
     loaded = {name.split(".")[0] for name in json.loads(out.splitlines()[-1])}
-    # multiprocessing registers the main module a second time, as __mp_main__
-    foreign = loaded - set(sys.stdlib_module_names) - {"fraglab", "__mp_main__"}
+    foreign = loaded - set(sys.stdlib_module_names) - {"fraglab"}
     assert not foreign, f"fraglab loaded modules outside the standard library: {sorted(foreign)}"
+    assert not loaded & {"multiprocessing", "concurrent"}, f"a serial validate loaded {sorted(loaded)}"

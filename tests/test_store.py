@@ -14,7 +14,7 @@ from fraglab.errors import (
     exit_code,
 )
 from fraglab.metrics import fragments_of
-from fraglab.store import ObjectStore, StoreConfig, SAFE_WRITE_STEPS
+from fraglab.store import ObjectRecord, ObjectStore, StoreConfig, SAFE_WRITE_STEPS
 from fraglab.volume import Band, Extent, create_volume
 from fraglab.workload import bulk_load, run_to_age
 from linear_alloc import LINEAR_POLICIES, PerRequestStore, linear_volume, per_request_plan
@@ -554,6 +554,38 @@ def test_records_hold_extents_after_mixed_ops(kind):
     for rec in store.records():
         assert rec.extents and all(isinstance(ext, Extent) for ext in rec.extents)
         assert fragments_of(rec) >= 1
+
+
+def test_a_record_holds_its_extents_as_one_flat_tuple():
+    """The constructor and the extents setter take (offset, length) extents and keep one flat tuple
+    of ints; extents is a view that builds a fresh Extent list on each read."""
+    rec = ObjectRecord("a", 5 * 4096, [Extent(0, 2), Extent(5, 3)], 4)
+    assert rec.layout == (0, 2, 5, 3) and type(rec.layout) is tuple and rec.generation == 4
+    view = rec.extents
+    assert view == [Extent(0, 2), Extent(5, 3)] and all(type(ext) is Extent for ext in view)
+    assert rec.allocated_clusters == 5 and fragments_of(rec) == 2
+    view.append(Extent(9, 1))   # a view, not the record's state
+    assert rec.extents == [Extent(0, 2), Extent(5, 3)] and rec.extents is not rec.extents
+    rec.extents = [(10, 4)]
+    assert rec.layout == (10, 4) and rec.extents == [Extent(10, 4)]
+    assert rec.allocated_clusters == 4 and fragments_of(rec) == 1
+    rec.extents = []
+    assert rec.layout == () and rec.extents == [] and rec.allocated_clusters == 0 and fragments_of(rec) == 0
+
+
+def test_records_keep_flat_layouts_through_every_write_path():
+    """Puts, safe writes, deletes, a cleaner pass and a snapshot reload leave each record one flat
+    tuple of ints, which the snapshot lists as its [offset, length] pairs."""
+    store = make_store(total=8192, policy=make_policy("log_append"), write_request_size=64 * KB,
+                       free_mode="deferred")
+    drive_mixed_ops(store, seed=5, n_ops=150, size_range=(16 * KB, 512 * KB), scan_every=0)
+    store.compact()
+    for st in (store, ObjectStore.from_state(store.to_state())):
+        for rec in st.records():
+            assert type(rec.layout) is tuple and all(type(value) is int for value in rec.layout)
+            assert list(rec.layout) == [value for ext in rec.extents for value in ext]
+    assert [pairs for *_head, pairs in store.to_state()["objects"]] == [
+        [list(ext) for ext in rec.extents] for rec in store.records()]
 
 
 class TestFragmentBound:

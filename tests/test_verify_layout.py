@@ -9,8 +9,9 @@ records); after each, the store's scan and verify must raise what the oracle
 raises, with the same class, message and cluster, or pass where it passes, and
 the volume's sweep must check what the oracle's sweep checks.  On a store of a
 few thousand single-extent objects, a memory guard holds verify_layout's traced
-peak to at most 32 B per owner run, and a collection guard lets no cyclic
-garbage collection start during it.
+peak to at most 32 B per owner run, a collection guard lets no cyclic garbage
+collection start during it, and a third guard holds what the aged store keeps to
+at most 500 B per object.
 """
 
 import gc
@@ -253,8 +254,27 @@ def test_single_corruptions_raise_what_the_copying_verify_raises(kind, free_mode
 
 
 @pytest.fixture(scope="module")
-def hinted_store():
-    """3,000 objects of 1-32 clusters, best fit with a size hint, each safe-written once on average."""
+def hinted_build():
+    """3,000 objects of 1-32 clusters, best fit with a size hint, each safe-written once on average,
+    built under tracemalloc: (the store, the traced bytes held once it is aged).  A full collection
+    first empties the free lists, whose objects tracemalloc would not see reused."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = _hinted_store()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return store, held
+
+
+@pytest.fixture(scope="module")
+def hinted_store(hinted_build):
+    return hinted_build[0]
+
+
+def _hinted_store():
     total = 1 << 16
     volume = create_volume(total, CLUSTER, [Band(0, total, 60e6)])
     store = ObjectStore(volume, StoreConfig(policy=make_policy("best_fit", fragmenting=True), size_hint=True,
@@ -281,6 +301,13 @@ def test_verify_peak_stays_within_32_bytes_per_owner_run(hinted_store):
         tracemalloc.stop()
     runs = len(hinted_store.volume.owners)
     assert peak <= 32 * runs, f"verify_layout peaked at {peak / runs:.0f} B per owner run"
+
+
+def test_aged_store_holds_at_most_500_bytes_per_object(hinted_build):
+    """A record holds its layout as one flat tuple of ints, not a list of Extents: everything the
+    aged store holds (records, owner runs, free runs) stays within 500 traced bytes per object."""
+    store, held = hinted_build
+    assert held <= 500 * len(store), f"the aged store holds {held / len(store):.0f} B per object"
 
 
 def test_verify_starts_no_garbage_collection(hinted_store):
