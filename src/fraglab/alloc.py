@@ -142,7 +142,7 @@ class BuddyPolicy(AllocPolicy):
     kind = "buddy"
 
     def __init__(self, min_order: int = default("store.policy.params.min_order")):
-        check_bounds("store.policy.params", ConfigurationError, min_order=min_order)
+        check_bounds("store.policy.params", min_order=min_order)
         self.min_order = min_order
         self.internal_frag_clusters = 0
 
@@ -191,13 +191,13 @@ class NtfsLikePolicy(AllocPolicy):
     fragmenting = True
 
     def __init__(self, cache_depth: int = default("store.policy.params.cache_depth")):
-        check_bounds("store.policy.params", ConfigurationError, cache_depth=cache_depth)
+        check_bounds("store.policy.params", cache_depth=cache_depth)
         self.cache_depth = cache_depth
         self._cache: list[list[int]] = []  # mutable [offset, length] entries
 
     def check(self, config: "StoreConfig", volume: Volume) -> None:
         if config.free_mode != "deferred":
-            raise UsageError(f"{self.kind} requires free_mode='deferred'")
+            raise ConfigurationError(f"{self.kind} requires free_mode='deferred'")
 
     def _refresh_cache(self, volume: Volume) -> None:
         self._cache = [[offset, length] for length, offset in volume.free.top(self.cache_depth)]

@@ -1,4 +1,4 @@
-"""Error taxonomy and process exit codes shared across the simulator."""
+"""Error taxonomy and exit codes: a config rule raises ConfigurationError, an operation's precondition UsageError."""
 
 
 class FraglabError(Exception):
@@ -6,7 +6,7 @@ class FraglabError(Exception):
 
 
 class ConfigurationError(FraglabError):
-    """A config is malformed: bad band partition, bad policy name, bad sizes."""
+    """A config rule failed, on any path (file, grid cell, constructor): bad bands, policy name or range."""
 
 
 class InfeasibleSpecError(ConfigurationError):
@@ -31,7 +31,7 @@ class NoSpaceError(FraglabError):
 
 
 class UsageError(FraglabError):
-    """The caller violated an operation precondition (duplicate id, bad size)."""
+    """The caller violated an operation precondition (duplicate id, bad size); never a config rule."""
 
 
 class NotFoundError(UsageError):
@@ -60,7 +60,7 @@ class SimulatedAbortError(FraglabError):
 
 # CLI exit codes. 1 is reserved for unexpected failures.
 EXIT_OK = 0
-EXIT_CONFIG = 2       # invalid or infeasible config, a usage error in one, or a bad snapshot
+EXIT_CONFIG = 2       # invalid or infeasible config, a refused operation, or a bad snapshot
 EXIT_NO_SPACE = 3     # the volume ran out of space mid-experiment
 EXIT_INVARIANT = 4    # internal inconsistency or scan corruption
 

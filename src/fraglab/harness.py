@@ -50,8 +50,8 @@ class ExperimentConfig:
         if occupancy is not None:
             if wl["n_objects"] is not None:
                 raise ConfigurationError("give n_objects or occupancy, not both")
-            schema.check_bounds("volume", ConfigurationError, **volume)
-            schema.check_bounds("workload", ConfigurationError, occupancy=occupancy)
+            schema.check_bounds("volume", **volume)
+            schema.check_bounds("workload", occupancy=occupancy)
             capacity = volume["total_clusters"] * volume["cluster_size"]
             # float arithmetic while the capacity has a float value; exact past it, where floats overflow
             num, den = occupancy.as_integer_ratio()
@@ -60,7 +60,7 @@ class ExperimentConfig:
             if not wl["n_objects"]:
                 raise ConfigurationError(f"workload.occupancy {occupancy} holds no object of the mean size")
             try:
-                schema.check_bounds("workload", ConfigurationError, n_objects=wl["n_objects"])
+                schema.check_bounds("workload", n_objects=wl["n_objects"])
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{exc} (resolved from workload.occupancy {occupancy})") from None
         elif wl["n_objects"] is None:

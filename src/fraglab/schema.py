@@ -5,8 +5,9 @@ None: absent unless given) and range; a field may exist under one policy kind
 only, or have its value fixed by some kinds.  parse() checks a document's shape,
 types and required and unknown keys, and returns it canonical, defaults filled
 in.  Each object built from a section checks its values' ranges through
-check_bounds(), and keeps the checks that relate two values.  dump() reads the
-canonical form back off those objects, whose dataclasses take defaults via default().
+check_bounds(), and keeps the checks that relate two values; each raises
+ConfigurationError, never UsageError (see errors).  dump() reads the canonical
+form back off those objects, whose dataclasses take defaults via default().
 A type is int, float, bool, str, dict, list, [t] (an array of t) or
 (t1, t2, ...) (an array of exactly those).
 """
@@ -184,8 +185,8 @@ def check_type(value, spec, where: str):
     return value
 
 
-def check_bounds(path: str, error: type[Exception], **values) -> None:
-    """Raise error, naming its dotted path, on the first leaf of section path outside its bound."""
+def check_bounds(path: str, **values) -> None:
+    """Raise ConfigurationError, naming its dotted path, on the first leaf of section path outside its bound."""
     for name, spec in _node(path, CONFIG).items():
         if name in values and not isinstance(spec, dict) and spec.bound is not None:
             value = values[name]
@@ -196,7 +197,7 @@ def check_bounds(path: str, error: type[Exception], **values) -> None:
                 ok = least <= value and (below is None or value < below)
                 need = f">= {least}" + ("" if below is None else f" and < {below}")
             if not ok:
-                raise error(f"{path}.{name} must be {need}, not {value!r}")
+                raise ConfigurationError(f"{path}.{name} must be {need}, not {value!r}")
 
 
 def dump(obj, path: str) -> dict:

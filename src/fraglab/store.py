@@ -99,9 +99,9 @@ class StoreConfig:
     free_mode: str = default("store.free_mode")                 # "deferred" or "immediate"
 
     def validate(self, volume: Volume) -> None:
-        check_bounds("store", UsageError, **vars(self))
+        check_bounds("store", **vars(self))
         if self.write_request_size < volume.cluster_size:
-            raise UsageError("write_request_size must be at least one cluster")
+            raise ConfigurationError("write_request_size must be at least one cluster")
         self.policy.check(self, volume)
 
 

@@ -644,8 +644,7 @@ def create_volume(
     seek_time: float = default("volume.seek_time"),
 ) -> Volume:
     """A fresh volume: one free run covering everything, nothing staged."""
-    check_bounds("volume", ConfigurationError, total_clusters=total_clusters,
-                 cluster_size=cluster_size, seek_time=seek_time)
+    check_bounds("volume", total_clusters=total_clusters, cluster_size=cluster_size, seek_time=seek_time)
     bands = default_bands(total_clusters) if bands is None else [Band(*b) for b in bands]
     _validate_bands(bands, total_clusters)
     # the cost model's limit: 2**128 one-cluster fragments in the slowest (last) band read in finite time

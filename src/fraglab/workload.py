@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleSpecError, NoSpaceError, UsageError
+from .errors import ConfigurationError, InfeasibleSpecError, NoSpaceError, UsageError
 from .metrics import FragReport, build_report
 from .rng import Xorshift64Star, derive_seed
 from .schema import check_bounds, config_echo, default
@@ -34,9 +34,9 @@ class SizeDist:
     half_width: int = default("workload.size_dist.half_width")   # uniform: [mean-hw, mean+hw]
 
     def __post_init__(self) -> None:
-        check_bounds("workload.size_dist", UsageError, **vars(self))
+        check_bounds("workload.size_dist", **vars(self))
         if self.half_width >= self.mean:
-            raise UsageError(f"workload.size_dist.half_width {self.half_width} must be < mean {self.mean}")
+            raise ConfigurationError(f"workload.size_dist.half_width {self.half_width} must be < mean {self.mean}")
 
 
 def sample_size(dist: SizeDist, rng: Xorshift64Star) -> int:
@@ -56,13 +56,12 @@ class WorkloadSpec:
     measurement_ages: tuple[float, ...] = default("workload.measurement_ages")   # given as any sequence
 
     def __post_init__(self) -> None:
-        check_bounds("workload", UsageError, **vars(self))
+        check_bounds("workload", **vars(self))
         object.__setattr__(self, "measurement_ages", ages := tuple(self.measurement_ages))
-        for age in ages:
-            if age < 0 or age > self.target_age:
-                raise UsageError("measurement ages must lie in [0, target_age]")
+        if any(age < 0 or age > self.target_age for age in ages):
+            raise ConfigurationError("measurement ages must lie in [0, target_age]")
         if sorted(set(ages)) != list(ages):
-            raise UsageError(f"measurement ages must be sorted ascending, each once: {list(ages)}")
+            raise ConfigurationError(f"measurement ages must be sorted ascending, each once: {list(ages)}")
 
 
 def check_bulk_fit(required: int, available: int) -> None:

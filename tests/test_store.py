@@ -6,6 +6,7 @@ from fraglab import harness
 from fraglab.alloc import BestFitPolicy, FirstFitPolicy, NtfsLikePolicy, make_policy
 from fraglab.errors import (
     EXIT_CONFIG,
+    ConfigurationError,
     CorruptionError,
     NoSpaceError,
     NotFoundError,
@@ -648,9 +649,9 @@ def test_snapshot_round_trip():
 
 def test_config_validation():
     volume = create_volume(100, 4096, [Band(0, 100, 60e6)])
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigurationError):
         ObjectStore(volume, StoreConfig(policy=FirstFitPolicy(), write_request_size=100))
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigurationError):
         ObjectStore(volume, StoreConfig(policy=NtfsLikePolicy(), free_mode="immediate"))
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigurationError):
         ObjectStore(volume, StoreConfig(policy=FirstFitPolicy(), checkpoint_every=0))

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from fraglab.alloc import FirstFitPolicy, LogAppendPolicy, POLICY_KINDS, make_policy
-from fraglab.errors import InfeasibleSpecError, UndefinedAgeError, UsageError
+from fraglab.errors import ConfigurationError, InfeasibleSpecError, UndefinedAgeError, UsageError
 from fraglab.metrics import fragments_of
 from fraglab.rng import Xorshift64Star
 from fraglab.store import AgeClock, ObjectStore, StoreConfig
@@ -188,21 +188,21 @@ class TestStorageAge:
 
 class TestSpecValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             spec(n=0)
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             WorkloadSpec(1, SizeDist("constant", 0), 1.0)
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             WorkloadSpec(1, SizeDist("uniform", 100, 100), 1.0)
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             WorkloadSpec(1, SizeDist("constant", 100), -1.0)
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigurationError):
             WorkloadSpec(1, SizeDist("constant", 100), 2.0, measurement_ages=[3.0])
 
     def test_checked_as_built_and_frozen(self):
-        with pytest.raises(UsageError, match=r"^workload.size_dist.half_width 100 must be < mean 100$"):
+        with pytest.raises(ConfigurationError, match=r"^workload.size_dist.half_width 100 must be < mean 100$"):
             SizeDist("uniform", 100, 100)
-        with pytest.raises(UsageError, match=r"^measurement ages must lie in \[0, target_age\]$"):
+        with pytest.raises(ConfigurationError, match=r"^measurement ages must lie in \[0, target_age\]$"):
             spec(target=2.0, ages=[3.0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec().read_fraction = 0.5
