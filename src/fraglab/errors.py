@@ -12,7 +12,7 @@ class ConfigurationError(FraglabError):
 class InfeasibleSpecError(ConfigurationError):
     """The workload cannot fit on the volume at all.
 
-    Carries the shortfall so the harness can report required vs available.
+    required_clusters and available_clusters are for library callers; the harness and CLI print the message.
     """
 
     def __init__(self, message, required_clusters=None, available_clusters=None):

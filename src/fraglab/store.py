@@ -3,9 +3,10 @@
 Objects are opaque blobs addressed by id.  A put appends in write-request
 sized chunks (or allocates the whole object up front when a size hint is
 configured), and hands all of an object's requests to the allocation policy
-in one call, which lands whole or takes nothing; an update writes a complete
-new copy that way and then atomically swaps it for the old one, so a full
-version of the object exists at every point.
+in one call, which lands whole or takes nothing.  A safe write writes a new
+copy that way under the owner key TEMP and swaps it in by re-keying its runs
+to the object: a full version exists at every point, and recover() reads
+from the owner map alone whether an interrupted one was swapped in.
 
 A record holds its layout as one flat tuple of ints, read as (offset, length)
 pairs; only the edge, ObjectRecord.extents, builds Extent lists.  Each extent
@@ -28,7 +29,7 @@ from typing import Callable, Hashable, Iterator, Sequence
 from .alloc import AllocPolicy, make_policy
 from .errors import ConfigurationError, CorruptionError, NotFoundError, UndefinedAgeError, UsageError
 from .schema import check_bounds, check_type, default, dump, parse
-from .volume import Extent, Volume, as_extent, coalesce
+from .volume import TEMP, Extent, Volume, as_extent, coalesce, is_object_id
 
 
 # the ObjectStore.to_state() format; from_state refuses every other version
@@ -116,12 +117,10 @@ def store_config(section: dict) -> StoreConfig:
 
 @dataclass
 class _ReplaceTxn:
-    """In-flight safe write; what recovery needs to finish or undo it."""
+    """In-flight safe write: what recovery frees; the new copy's runs, TEMP until the swap, say which."""
 
     old_extents: list[Extent]   # emptied once they are released
-    temp_key: tuple
     new_extents: list[Extent]
-    committed: bool = False
 
 
 # safe-write protocol boundaries, in order; the step hook sees each name
@@ -167,7 +166,7 @@ class ObjectStore:
     def put_new(self, oid: Hashable, size: int) -> ObjectRecord:
         """Create an object.  Fails atomically: on no-space nothing changes."""
         self._refuse_in_flight("put")
-        if not isinstance(oid, (int, str)) or isinstance(oid, bool):   # the ids a snapshot can hold
+        if not is_object_id(oid):   # the ids a snapshot can hold
             raise UsageError(f"object id must be an integer or a string, not {oid!r}")
         if oid in self._records:
             raise UsageError(f"object {oid!r} already exists")
@@ -182,36 +181,33 @@ class ObjectStore:
     def safe_write(self, oid: Hashable, new_size: int) -> ObjectRecord:
         """Replace an object's contents via the temp-copy-then-swap protocol.
 
-        The new copy is fully allocated while the old one stays live (peak
-        usage covers both), then one commit step repoints the record; the
-        old extents are released afterwards, deferred or immediate per
+        The new copy is allocated under TEMP while the old one stays live (peak
+        usage covers both); one commit step re-keys its runs and repoints the
+        record, then the old extents are released, deferred or immediate per
         config.  A failure before the commit leaves the old version intact.
         """
         self._refuse_in_flight("safe write")
         rec = self._require(oid)
         if new_size <= 0:
             raise UsageError("object size must be > 0")
-        temp_key = ("~tmp", oid, rec.generation + 1)
-        new_extents = self._allocate(temp_key, new_size)
+        new_extents = self._allocate(TEMP, new_size)
         # making room may have moved objects (a cleaner pass), so the old extents are read now (see delete)
-        old_extents = rec.extents
-        txn = self._pending = _ReplaceTxn(old_extents, temp_key, new_extents)
+        txn = self._pending = _ReplaceTxn(rec.extents, new_extents)
         hook = self.step_hook   # the hook installed as the write starts sees each of its steps
         if hook is not None:
             hook("temp_written")
             hook("forced")  # durability point for the temp copy; no-op here
         # the atomic swap: one step after which the new version is current
-        self.volume.clear_markers(old_extents)
-        self.volume.rekey_owners(new_extents, temp_key, oid)
+        self.volume.clear_markers(txn.old_extents)
+        self.volume.rekey_owners(new_extents, oid)
         rec.extents = new_extents
         self.clock.live_bytes += new_size - rec.size
         rec.size = new_size
         rec.generation += 1
         self._account_write(rec, new_extents)
-        txn.committed = True
         if hook is not None:
             hook("replaced")
-        self._release(old_extents)
+        self._release(txn.old_extents)
         txn.old_extents = []   # nothing is left for recover() to roll forward
         if hook is not None:
             hook("old_released")
@@ -241,13 +237,12 @@ class ObjectStore:
             raise UsageError(f"cannot {what} with a replacement in flight; recover() first")
 
     def recover(self) -> None:
-        """Resolve an interrupted safe write: roll back before the swap,
-        roll forward after it.  Idempotent; safe to call anytime."""
-        txn = self._pending
+        """Resolve an interrupted safe write from the owner map: roll back while the new copy's
+        runs are still TEMP, roll forward once the swap re-keyed them.  Idempotent; safe anytime."""
+        txn, self._pending = self._pending, None
         if txn is None:
             return
-        self._pending = None
-        if not txn.committed:
+        if self.volume.owners[txn.new_extents[0].offset][1] is TEMP:
             self.volume.clear_markers(txn.new_extents)
             self.volume.release(txn.new_extents, "immediate")
         else:
@@ -421,7 +416,7 @@ class ObjectStore:
             raise ConfigurationError(f"snapshot bytes_turned_over is {turned}; it must be >= 0")
         store.clock.bytes_turned_over = turned
         for oid, size, generation, extents in state["objects"]:
-            if not isinstance(oid, (int, str)) or isinstance(oid, bool):   # true and 1.0 hash as 1
+            if not is_object_id(oid):
                 raise ConfigurationError(f"snapshot object id must be an integer or a string, not {oid!r}")
             if oid in store:
                 raise ConfigurationError(f"snapshot lists object {oid!r} twice")

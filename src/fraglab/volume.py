@@ -382,6 +382,15 @@ class FreeExtentIndex:
             raise InvariantViolationError("the free runs' size order is stale")
 
 
+class TEMP:
+    """The owner key of a safe write's new copy until the swap hands its runs to the object; no object id."""
+
+
+def is_object_id(key) -> bool:
+    """The one object-id rule: an integer or a string, not a bool (True hashes as 1); so never TEMP."""
+    return isinstance(key, (int, str)) and not isinstance(key, bool)
+
+
 @dataclass
 class Volume:
     """Simulated disk state.  Single-threaded; never share one mutably."""
@@ -481,14 +490,13 @@ class Volume:
             self._run_of(offset, length)
             del self.owners[offset]
 
-    def rekey_owners(self, extents: Iterable[tuple[int, int]], old_key, new_key) -> None:
-        """Hand the owner run of each (offset, length) extent from old_key to new_key, keeping its
-        sequence number; a run owned by any other key is an invariant breach."""
+    def rekey_owners(self, extents: Iterable[tuple[int, int]], key: Hashable) -> None:
+        """Hand the TEMP owner run of each (offset, length) extent to key, keeping its sequence number."""
         for offset, length in extents:
-            _length, key, seq = self._run_of(offset, length)
-            if key != old_key:
-                raise InvariantViolationError(f"extent {(offset, length)} is not a run of {old_key!r}")
-            self.owners[offset] = (length, new_key, seq)
+            _length, owner, seq = self._run_of(offset, length)
+            if owner is not TEMP:
+                raise InvariantViolationError(f"extent {(offset, length)} is not a TEMP run")
+            self.owners[offset] = (length, key, seq)
 
     # -- cost model ---------------------------------------------------------
 
@@ -577,23 +585,20 @@ class Volume:
 
     def owner_groups(self) -> dict[Hashable, list[int]]:
         """Each owner key's run offsets in sequence order, grouped over owner_sweep.  Findings are
-        CorruptionErrors naming a cluster, in a fixed order: the sweep's; then the lowest leftover temp
-        run (a tuple key: object ids are integers or strings); then per key, keys in the order of their
+        CorruptionErrors naming a cluster, in a fixed order: the sweep's; then the lowest leftover TEMP
+        run, which only a safe write in flight may hold; then per key, keys in the order of their
         lowest run, the first repeated or skipped sequence number."""
         owners = self.owners
-        temp = None
         groups: dict[Hashable, list[int]] = {}
         for offset in self.owner_sweep():
             key = owners[offset][1]
-            if temp is None and isinstance(key, tuple):
-                temp = offset
             offsets = groups.get(key)
             if offsets is None:   # an exact one-slot list: most keys hold one run
                 groups[key] = [offset]
             else:
                 offsets.append(offset)
-        if temp is not None:
-            raise CorruptionError(f"cluster {temp} holds a temp run outside any replacement", cluster=temp)
+        if (temp := groups.get(TEMP)) is not None:   # TEMP's runs, swept in address order: lowest first
+            raise CorruptionError(f"cluster {temp[0]} holds a temp run outside any replacement", cluster=temp[0])
         for key, offsets in groups.items():
             offsets.sort(key=lambda offset: owners[offset][2])
             expected = 0
@@ -630,7 +635,7 @@ class Volume:
         for off, length, key, seq in state["owners"]:
             check_type((off, length, seq), (int, int, int),
                        f"snapshot owner run {[off, length, key, seq]!r} (offset, length, seq)")
-            if not isinstance(key, (int, str)) or isinstance(key, bool):   # true and 1.0 hash as 1
+            if not is_object_id(key):
                 raise ConfigurationError(f"snapshot owner run at cluster {off} has key {key!r};"
                                          " owner keys must be JSON scalars of type integer or string")
             vol.set_owner(off, length, key, seq)

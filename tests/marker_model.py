@@ -16,7 +16,6 @@ class MarkerModel:
         self.markers = {}        # cluster -> (key, seq)
         self.pieces = []         # pieces handed out by the policy since begin()
         self.piece_count = {}    # key -> live allocation pieces
-        self.generation = {}     # oid -> committed replacements
 
     def begin(self):
         self.pieces = []

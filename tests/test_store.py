@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from fraglab.errors import (
 )
 from fraglab.metrics import fragments_of
 from fraglab.store import ObjectRecord, ObjectStore, StoreConfig, SAFE_WRITE_STEPS
-from fraglab.volume import Band, Extent, create_volume
+from fraglab.volume import TEMP, Band, Extent, create_volume
 from fraglab.workload import bulk_load, run_to_age
 from linear_alloc import LINEAR_POLICIES, PerRequestStore, linear_volume, per_request_plan
 
@@ -70,14 +72,28 @@ class TestPutNew:
             store.put_new("a", 4096)
 
     def test_refuses_ids_a_snapshot_cannot_hold(self):
-        # a tuple shaped like a temp key would pass for a leftover temp run, and True or 1.0 for object 1
+        # one rule for a put and a snapshot's object and owner rows: TEMP would pass for a leftover
+        # temp run, and True or 1.0 for object 1
         store = make_store()
         store.put_new(1, 4096)
-        for oid in (("~tmp", 7, 1), ("pad", 1), 1.0, 2.5, True, None):
+        state = store.to_state()
+        for oid in (TEMP, ("~tmp", 7, 1), ("pad", 1), 1.0, 2.5, True, None):
             with pytest.raises(UsageError) as refused:
                 store.put_new(oid, 4096)
             assert str(refused.value) == f"object id must be an integer or a string, not {oid!r}"
             assert exit_code(refused.value) == EXIT_CONFIG
+            in_object_row, in_owner_row = copy.deepcopy(state), copy.deepcopy(state)
+            in_object_row["objects"][0][0] = oid
+            in_owner_row["volume"]["owners"][0][2] = oid
+            for snapshot, message in (
+                (in_object_row, f"snapshot object id must be an integer or a string, not {oid!r}"),
+                (in_owner_row, f"snapshot owner run at cluster 0 has key {oid!r};"
+                               " owner keys must be JSON scalars of type integer or string"),
+            ):
+                with pytest.raises(ConfigurationError) as refused:
+                    ObjectStore.from_state(snapshot)
+                assert str(refused.value) == message   # one line
+                assert exit_code(refused.value) == EXIT_CONFIG
         store.put_new("1", 4096)
         assert live_ids(store) == [1, "1"]
         store.volume.audit(deep=True)
@@ -263,6 +279,26 @@ class TestSafeWrite:
         old = list(store._records["a"].extents)
         store.safe_write("a", 10 * 4096)
         assert list(store.volume.deferred.runs()) == old  # not yet committed at cadence 10
+
+    def test_new_copy_is_temp_until_the_swap(self):
+        """Before the swap every run of the new copy is (length, TEMP, seq); from it on, no run is TEMP."""
+        store = make_store(free_mode="immediate")
+        for oid in "abc":
+            store.put_new(oid, 16 * 4096)
+        store.delete("b")   # a 16-cluster hole, so first fit splits the new copy of a
+        seen = {}
+
+        def hook(step):
+            owners = store.volume.owners
+            seen[step] = ([owners[ext.offset] for ext in store._pending.new_extents],
+                          [run for run in owners.values() if run[1] is TEMP])
+
+        store.step_hook = hook
+        rec = store.safe_write("a", 24 * 4096)
+        assert rec.extents == [Extent(16, 16), Extent(48, 8)]
+        temp = [(16, TEMP, 0), (8, TEMP, 16)]
+        assert seen["temp_written"] == seen["forced"] == (temp, temp)
+        assert seen["replaced"] == seen["old_released"] == ([(16, "a", 0), (8, "a", 16)], [])
 
     @pytest.mark.parametrize("abort_step", SAFE_WRITE_STEPS)
     def test_abort_at_each_step_resolves_one_version(self, abort_step):

@@ -24,7 +24,7 @@ from fraglab.alloc import make_policy
 from fraglab.errors import CorruptionError, FraglabError, NoSpaceError
 from fraglab.rng import Xorshift64Star
 from fraglab.store import ObjectStore, StoreConfig
-from fraglab.volume import Band, Extent, create_volume
+from fraglab.volume import TEMP, Band, Extent, create_volume
 
 CLUSTER = 4096
 TOTAL = 1024
@@ -58,7 +58,7 @@ def oracle_owner_runs(volume):
 def oracle_scan(store):
     by_key = {}
     for offset, (length, key, seq) in oracle_owner_runs(store.volume):
-        if isinstance(key, tuple) and key and key[0] == "~tmp":
+        if key is TEMP:
             raise CorruptionError(f"cluster {offset} holds a temp run outside any replacement", cluster=offset)
         by_key.setdefault(key, []).append((seq, offset, length))
     layout = {}
@@ -183,7 +183,7 @@ def corruptions(store):
             out.append((f"renumber {offset} by {delta}", _runs({offset: (length, key, seq + delta)})))
         out.append((f"re-key {offset} to a live key", _runs({offset: (length, (key + 1) % len(store), seq)})))
         out.append((f"re-key {offset} to a ghost", _runs({offset: (length, "ghost", seq)})))
-        out.append((f"temp run at {offset}", _runs({offset: (length, ("~tmp", key, 1), seq)})))
+        out.append((f"temp run at {offset}", _runs({offset: (length, TEMP, seq)})))
         out.append((f"drop {offset}", _runs({offset: None})))
         if len(by_key[key]) > 1:
             first_seq = owners[by_key[key][0]][2]

@@ -5,6 +5,7 @@ from conftest import BitmapOracle, assert_matches_oracle
 from fraglab.errors import ConfigurationError, CorruptionError, InvariantViolationError
 from fraglab.rng import Xorshift64Star
 from fraglab.volume import (
+    TEMP,
     Band,
     Extent,
     coalesce,
@@ -399,17 +400,18 @@ def test_set_owner_rejects_a_second_run_at_one_offset(flat_volume):
 
 def test_rekey_owners_keeps_sequences_and_checks_the_key(flat_volume):
     vol = flat_volume
-    vol.set_owner(0, 3, "tmp", 0)
-    vol.set_owner(5, 2, "tmp", 3)
+    vol.set_owner(0, 3, TEMP, 0)
+    vol.set_owner(5, 2, TEMP, 3)
     vol.set_owner(7, 2, "other", 0)
-    vol.rekey_owners([Extent(0, 3), Extent(5, 2)], "tmp", "x")
+    vol.rekey_owners([Extent(0, 3), Extent(5, 2)], "x")
     assert vol.owners == {0: (3, "x", 0), 5: (2, "x", 3), 7: (2, "other", 0)}
-    with pytest.raises(InvariantViolationError):
-        vol.rekey_owners([Extent(7, 2)], "tmp", "x")
-    with pytest.raises(InvariantViolationError):
-        vol.rekey_owners([Extent(0, 2)], "x", "y")  # the run reaches past the extent
-    with pytest.raises(InvariantViolationError):
-        vol.rekey_owners([Extent(0, 7)], "x", "y")  # the extent reaches past the run
+    vol.set_owner(9, 3, TEMP, 0)
+    with pytest.raises(InvariantViolationError, match="is not a TEMP run"):
+        vol.rekey_owners([Extent(7, 2)], "x")
+    with pytest.raises(InvariantViolationError, match="is not one owner run"):
+        vol.rekey_owners([Extent(9, 2)], "y")  # the run reaches past the extent
+    with pytest.raises(InvariantViolationError, match="is not one owner run"):
+        vol.rekey_owners([Extent(9, 7)], "y")  # the extent reaches past the run
 
 
 @pytest.mark.parametrize(
@@ -446,7 +448,7 @@ def test_deep_audit_catches_misplaced_runs(flat_volume, corruption, message):
 @pytest.mark.parametrize("second, message", [
     ((10, 10, "x", 12), "object 'x': sequence gap before 12 at cluster 10"),
     ((10, 10, "x", 5), "object 'x': duplicate sequence 5 at cluster 10"),
-    ((10, 10, ("~tmp", "x", 1), 0), "cluster 10 holds a temp run outside any replacement"),
+    ((10, 10, TEMP, 0), "cluster 10 holds a temp run outside any replacement"),
 ], ids=["gap", "repeat", "temp"])
 def test_deep_audit_checks_what_the_runs_number_and_leave(flat_volume, second, message):
     """The deep audit is the layout scanner's own pass: it refuses sequence gaps, repeated
