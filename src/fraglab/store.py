@@ -13,8 +13,9 @@ pairs; only the edge, ObjectRecord.extents, builds Extent lists.  Each extent
 of a record is tagged on the volume with one owner run, written by
 Volume.write_runs for each object write here and in compact().
 scan_layout rebuilds all layouts from the runs alone: an independent check on
-the records.  verify_layout walks the records against the volume's sweep of
-the runs, and only on a mismatch scans, so its findings are scan_layout's.
+the records.  verify_layout walks the records' layouts against the runs with
+the volume's sweep and match_layouts, and only on a mismatch scans, so its
+findings are scan_layout's.
 Deferred frees commit every checkpoint_every mutating ops; with no step hook to
 look in between, an op whose checkpoint falls due frees straight into the free set.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
-from operator import sub
+from operator import attrgetter, sub
 from typing import Callable, Hashable, Iterator, Sequence
 
 from .alloc import AllocPolicy, make_policy
@@ -266,27 +267,13 @@ class ObjectStore:
     def verify_layout(self) -> None:
         """Scanner-vs-records cross check, raising on a mismatch what scan_layout names.  After the
         volume's sweep (Volume.owner_sweep), no record may be empty, each extent must be the run at its
-        offset with its length, the record's id and the record's earlier clusters as sequence number,
-        and the records must hold one extent per run: exactly when scan_layout equals the records."""
-        runs = len(self.volume.owner_sweep())
-        get = self.volume.owners.get
-        for oid, rec in self._records.items():
-            layout = rec.layout
-            seq = i = 0
-            while i < len(layout):   # indexes, not pairs(): no iterator to build per record
-                length = layout[i + 1]
-                if get(layout[i]) != (length, oid, seq):
-                    seq = 0
-                    break
-                seq += length
-                i += 2
-            if not seq:   # no extents, or one that is not its run
-                break
-            runs -= len(layout) // 2
-        else:
-            if not runs:
-                return
-        scanned, records = self.scan_layout(), self._records
+        offset with its length, the record's id and the record's earlier clusters as sequence number
+        (Volume.match_layouts), and the records must hold one extent per run: exactly when scan_layout
+        equals the records."""
+        runs, records = len(self.volume.owner_sweep()), self._records
+        if self.volume.match_layouts(zip(records, map(attrgetter("layout"), records.values()))) == runs:
+            return
+        scanned = self.scan_layout()
         if scanned.keys() != records.keys():
             missing, extra = records.keys() - scanned.keys(), scanned.keys() - records.keys()
             raise CorruptionError(f"scan object set mismatch: missing {sorted(map(repr, missing))},"

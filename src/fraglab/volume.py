@@ -8,10 +8,13 @@ second FreeExtentIndex that nothing allocates from.
 
 Allocated clusters are tagged by owner runs, one per extent of an object,
 each naming its owner key and the sequence number of its first cluster, the
-rest following in order.  The owner map lives here alone: write_runs numbers
-an object's runs, clearing or re-keying an extent takes exactly its run,
-owner_sweep checks the runs in address order and owner_groups groups them over
-it, so the layout scanner rebuilds layouts without consulting object records.
+rest following in order.  The owner map (OwnerMap) lives here alone, in
+buckets of 2**OWNER_SHIFT clusters, so a safe write's churn rebuilds one small
+bucket's table, never a table of every run.  write_runs numbers an object's
+runs and clearing or re-keying an extent takes exactly its run, one bucket
+fetch per run; owner_sweep checks the runs in address order, bucket by bucket,
+owner_groups groups them over it for the layout scanner, which never consults
+object records, and match_layouts walks the records' layouts for verify.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import merge
 from itertools import chain, islice, starmap
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigurationError, CorruptionError, InvariantViolationError
 from .schema import check_bounds, check_type, default, dump, parse
@@ -391,6 +395,46 @@ def is_object_id(key) -> bool:
     return isinstance(key, (int, str)) and not isinstance(key, bool)
 
 
+# an owner run at offset lies in the OwnerMap bucket offset >> OWNER_SHIFT: 4,096 clusters per bucket
+OWNER_SHIFT = 12
+
+
+def _not_one_run(offset: int, length: int) -> InvariantViolationError:
+    return InvariantViolationError(f"extent {(offset, length)} is not one owner run")
+
+
+class OwnerMap(MutableMapping):
+    """The owner runs: first cluster of a run -> (length, owner key, sequence number of that cluster),
+    held as a dict of buckets, offset >> OWNER_SHIFT -> the runs that start in those clusters; an empty
+    bucket stays for the next write.  Iteration is in address order (the bucket ids sorted, then each
+    bucket), so an offset below 0 or past the volume sorts first or last."""
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, runs=()) -> None:
+        self.buckets: dict[int, dict[int, tuple]] = {}
+        self.update(runs)
+
+    def __getitem__(self, offset: int) -> tuple:
+        return self.buckets[offset >> OWNER_SHIFT][offset]
+
+    def __setitem__(self, offset: int, run: tuple) -> None:
+        self.buckets.setdefault(offset >> OWNER_SHIFT, {})[offset] = run
+
+    def __delitem__(self, offset: int) -> None:
+        del self.buckets[offset >> OWNER_SHIFT][offset]
+
+    def __iter__(self) -> Iterator[int]:
+        buckets = self.buckets
+        return chain.from_iterable(sorted(buckets[b]) for b in sorted(buckets))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buckets.values()))
+
+    def __repr__(self) -> str:
+        return f"OwnerMap({dict(self)!r})"
+
+
 @dataclass
 class Volume:
     """Simulated disk state.  Single-threaded; never share one mutably."""
@@ -401,8 +445,7 @@ class Volume:
     seek_time: float = default("volume.seek_time")   # per non-adjacent extent transition
     free: FreeExtentIndex = field(default_factory=FreeExtentIndex)
     deferred: FreeExtentIndex = field(default_factory=FreeExtentIndex)
-    # first cluster of a run -> (length, owner key, sequence number of that cluster)
-    owners: dict[int, tuple] = field(default_factory=dict)
+    owners: OwnerMap = field(default_factory=OwnerMap)
 
     @property
     def capacity_bytes(self) -> int:
@@ -464,39 +507,53 @@ class Volume:
 
     def set_owner(self, offset: int, length: int, key, first_seq: int) -> None:
         """Tag clusters [offset, offset+length) as sequence first_seq.. of key."""
-        if offset in self.owners:
-            raise InvariantViolationError(f"cluster {offset} already starts an owner run")
-        self.owners[offset] = (length, key, first_seq)
+        self.write_runs(key, ((offset, length),), first_seq)
 
-    def write_runs(self, key: Hashable, extents: list[Extent]) -> list[Extent]:
+    def write_runs(self, key: Hashable, extents: list[Extent], seq: int = 0) -> list[Extent]:
         """Write one owner run of key for each (offset, length) extent, in logical order, numbering
-        the clusters 0, 1, 2, ... across them; returns the extents."""
-        seq = 0
+        the clusters seq, seq + 1, ... across them; returns the extents.  An extent at an offset
+        that already starts a run is refused, that run left as it was."""
+        buckets = self.owners.buckets
         for offset, length in extents:
-            self.set_owner(offset, length, key, seq)
+            try:
+                bucket = buckets[offset >> OWNER_SHIFT]
+            except KeyError:
+                bucket = buckets[offset >> OWNER_SHIFT] = {}
+            run = (length, key, seq)
+            if bucket.setdefault(offset, run) is not run:
+                raise InvariantViolationError(f"cluster {offset} already starts an owner run")
             seq += length
         return extents
 
-    def _run_of(self, offset: int, length: int) -> tuple:
-        """The owner run of an extent: the one at its offset, which must have its length."""
-        run = self.owners.get(offset)
-        if run is None or run[0] != length:
-            raise InvariantViolationError(f"extent {(offset, length)} is not one owner run")
-        return run
-
     def clear_markers(self, extents: Iterable[tuple[int, int]]) -> None:
-        """Drop the owner run of each (offset, length) extent."""
+        """Drop the owner run of each (offset, length) extent: the run at its offset, which must have
+        its length, or the extent is refused and the run left in place."""
+        buckets = self.owners.buckets
         for offset, length in extents:
-            self._run_of(offset, length)
-            del self.owners[offset]
+            try:
+                bucket = buckets[offset >> OWNER_SHIFT]
+                run = bucket.pop(offset)
+            except KeyError:
+                raise _not_one_run(offset, length) from None
+            if run[0] != length:
+                bucket[offset] = run
+                raise _not_one_run(offset, length)
 
     def rekey_owners(self, extents: Iterable[tuple[int, int]], key: Hashable) -> None:
-        """Hand the TEMP owner run of each (offset, length) extent to key, keeping its sequence number."""
+        """Hand the TEMP owner run of each (offset, length) extent, the run at its offset with its
+        length, to key, keeping its sequence number; a refused extent's run is left as it was."""
+        buckets = self.owners.buckets
         for offset, length in extents:
-            _length, owner, seq = self._run_of(offset, length)
-            if owner is not TEMP:
+            try:
+                bucket = buckets[offset >> OWNER_SHIFT]
+                run = bucket[offset]
+            except KeyError:
+                raise _not_one_run(offset, length) from None
+            if run[0] != length:
+                raise _not_one_run(offset, length)
+            if run[1] is not TEMP:
                 raise InvariantViolationError(f"extent {(offset, length)} is not a TEMP run")
-            self.owners[offset] = (length, key, seq)
+            bucket[offset] = (length, key, run[2])
 
     # -- cost model ---------------------------------------------------------
 
@@ -548,7 +605,7 @@ class Volume:
             runs.check()
             if runs.intersects(self.total_clusters, sys.maxsize):
                 raise InvariantViolationError(f"a {name} run ends past the volume's last cluster")
-        owned = sum(run[0] for run in self.owners.values())
+        owned = sum(run[0] for bucket in self.owners.buckets.values() for run in bucket.values())
         if self.free_clusters + self.deferred_clusters + owned != self.total_clusters:
             raise InvariantViolationError(
                 f"conservation breach: free {self.free_clusters} + deferred {self.deferred_clusters}"
@@ -558,29 +615,34 @@ class Volume:
             self.owner_groups()
 
     def owner_sweep(self) -> list[int]:
-        """The owner-run offsets in address order.  One pass beside the free and deferred runs (merged,
-        not copied) raises a CorruptionError naming a cluster at the first run that is empty, lies
-        outside the volume, overlaps the one before it or covers a free or deferred cluster."""
-        owners = self.owners
-        offsets, holes = sorted(owners), merge(self.free, self.deferred)
+        """The owner-run offsets in address order, sorted bucket by bucket.  One pass beside the free and
+        deferred runs (merged, not copied) raises a CorruptionError naming a cluster at the first run that
+        is empty, lies outside the volume, overlaps the one before it or covers a free or deferred cluster."""
+        buckets = self.owners.buckets
+        offsets: list[int] = []
+        holes = merge(self.free, self.deferred)
         hole_start = hole_end = prev_end = 0
-        for offset in offsets:
-            length = owners[offset][0]
-            end = offset + length
-            if length < 1 or offset < 0 or end > self.total_clusters:
-                why = "it is empty" if length < 1 else "it lies outside the volume"
-                raise CorruptionError(f"owner run ({offset},{length}) is malformed: {why}", cluster=offset)
-            if offset < prev_end:
-                raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
-            while hole_end <= offset:
-                hole_start, hole_length = next(holes, (sys.maxsize, 0))
-                hole_end = hole_start + hole_length
-            if hole_start < end:
-                cluster = max(offset, hole_start)
-                where = "a deferred extent" if self.deferred.intersects(cluster, 1) else "the free set"
-                raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
-                                      f" it lies in {where}", cluster=cluster)
-            prev_end = end
+        for b in sorted(buckets):
+            bucket = buckets[b]
+            in_bucket = sorted(bucket)
+            offsets += in_bucket
+            for offset in in_bucket:
+                length = bucket[offset][0]
+                end = offset + length
+                if length < 1 or offset < 0 or end > self.total_clusters:
+                    why = "it is empty" if length < 1 else "it lies outside the volume"
+                    raise CorruptionError(f"owner run ({offset},{length}) is malformed: {why}", cluster=offset)
+                if offset < prev_end:
+                    raise CorruptionError(f"owner runs overlap at cluster {offset}", cluster=offset)
+                while hole_end <= offset:
+                    hole_start, hole_length = next(holes, (sys.maxsize, 0))
+                    hole_end = hole_start + hole_length
+                if hole_start < end:
+                    cluster = max(offset, hole_start)
+                    where = "a deferred extent" if self.deferred.intersects(cluster, 1) else "the free set"
+                    raise CorruptionError(f"cluster {cluster} is owned but not allocated:"
+                                          f" it lies in {where}", cluster=cluster)
+                prev_end = end
         return offsets
 
     def owner_groups(self) -> dict[Hashable, list[int]]:
@@ -588,10 +650,10 @@ class Volume:
         CorruptionErrors naming a cluster, in a fixed order: the sweep's; then the lowest leftover TEMP
         run, which only a safe write in flight may hold; then per key, keys in the order of their
         lowest run, the first repeated or skipped sequence number."""
-        owners = self.owners
+        buckets = self.owners.buckets
         groups: dict[Hashable, list[int]] = {}
         for offset in self.owner_sweep():
-            key = owners[offset][1]
+            key = buckets[offset >> OWNER_SHIFT][offset][1]
             offsets = groups.get(key)
             if offsets is None:   # an exact one-slot list: most keys hold one run
                 groups[key] = [offset]
@@ -600,15 +662,41 @@ class Volume:
         if (temp := groups.get(TEMP)) is not None:   # TEMP's runs, swept in address order: lowest first
             raise CorruptionError(f"cluster {temp[0]} holds a temp run outside any replacement", cluster=temp[0])
         for key, offsets in groups.items():
-            offsets.sort(key=lambda offset: owners[offset][2])
+            offsets.sort(key=lambda offset: buckets[offset >> OWNER_SHIFT][offset][2])
             expected = 0
             for offset in offsets:
-                length, _key, seq = owners[offset]
+                length, _key, seq = buckets[offset >> OWNER_SHIFT][offset]
                 if seq != expected:
                     what = "duplicate sequence" if seq < expected else "sequence gap before"
                     raise CorruptionError(f"object {key!r}: {what} {seq} at cluster {offset}", cluster=offset)
                 expected = seq + length
         return groups
+
+    def match_layouts(self, layouts: Iterable[tuple[Hashable, Sequence[int]]]) -> int:
+        """Walk (key, flat layout (offset0, length0, offset1, length1, ...)) pairs against the owner runs:
+        the number of extents walked, or -1 at the first layout that is empty or holds an extent that
+        is not the run at its offset with its length, key and the layout's earlier clusters as sequence
+        number.  Nothing is kept per layout or per extent."""
+        buckets, shift = self.owners.buckets, OWNER_SHIFT
+        extents = 0
+        for key, layout in layouts:
+            seq = i = 0
+            n = len(layout)
+            while i < n:   # indexes, not pairs: no iterator to build per layout
+                offset = layout[i]
+                length = layout[i + 1]
+                try:
+                    run = buckets[offset >> shift][offset]
+                except KeyError:   # no run at the offset
+                    return -1
+                if run != (length, key, seq):
+                    return -1
+                seq += length
+                i += 2
+            if not seq:   # no extents
+                return -1
+            extents += n // 2
+        return extents
 
     # -- snapshots ------------------------------------------------------------
 
@@ -618,7 +706,7 @@ class Volume:
             **dump(self, "volume"),
             "free": [list(run) for run in self.free],
             "deferred": [list(run) for run in self.deferred],
-            "owners": [[off, length, key, seq] for off, (length, key, seq) in sorted(self.owners.items())],
+            "owners": [[off, length, key, seq] for off, (length, key, seq) in self.owners.items()],
         }
 
     @classmethod

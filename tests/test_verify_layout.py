@@ -10,11 +10,13 @@ raises, with the same class, message and cluster, or pass where it passes, and
 the volume's sweep must check what the oracle's sweep checks.  On a store of a
 few thousand single-extent objects, a memory guard holds verify_layout's traced
 peak to at most 32 B per owner run, a collection guard lets no cyclic garbage
-collection start during it, and a third guard holds what the aged store keeps to
-at most 500 B per object.
+collection start during it, a third guard holds what the aged store keeps to
+at most 500 B per object, and a fourth finds no block over 64 KiB allocated in
+volume.py once safe writes have churned the owner map.
 """
 
 import gc
+import sys
 import tracemalloc
 from itertools import chain
 
@@ -24,7 +26,7 @@ from fraglab.alloc import make_policy
 from fraglab.errors import CorruptionError, FraglabError, NoSpaceError
 from fraglab.rng import Xorshift64Star
 from fraglab.store import ObjectStore, StoreConfig
-from fraglab.volume import TEMP, Band, Extent, create_volume
+from fraglab.volume import TEMP, Band, Extent, OwnerMap, create_volume
 
 CLUSTER = 4096
 TOTAL = 1024
@@ -240,7 +242,7 @@ def test_single_corruptions_raise_what_the_copying_verify_raises(kind, free_mode
         swept = outcome(lambda store: store.volume.owner_sweep(), aged)
         assert swept == outcome(lambda store: [offset for offset, _run in oracle_owner_runs(store.volume)], aged), name
         messages.append(verified[1] if verified[0] != "ok" else "ok")
-        volume.owners = dict(owners)
+        volume.owners = OwnerMap(owners)
         for rec in aged.records():
             rec.extents = extents[rec.id]
         volume.free.clear()
@@ -254,24 +256,34 @@ def test_single_corruptions_raise_what_the_copying_verify_raises(kind, free_mode
 
 
 @pytest.fixture(scope="module")
-def hinted_build():
+def hinted_traced():
     """3,000 objects of 1-32 clusters, best fit with a size hint, each safe-written once on average,
-    built under tracemalloc: (the store, the traced bytes held once it is aged).  A full collection
-    first empties the free lists, whose objects tracemalloc would not see reused."""
+    built under tracemalloc: (the store, the traced bytes held once it is aged, the size and place of
+    the largest live block allocated in volume.py).  A full collection first empties the free lists,
+    whose objects tracemalloc would not see reused."""
     gc.collect()
     tracemalloc.start()
     try:
         store = _hinted_store()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
+        volume_py = sys.modules[create_volume.__module__].__file__
+        largest = max((block.size, str(block.traceback[0])) for block in tracemalloc.take_snapshot().traces
+                      if block.traceback[0].filename == volume_py)
     finally:
         tracemalloc.stop()
-    return store, held
+    return store, held, largest
 
 
 @pytest.fixture(scope="module")
-def hinted_store(hinted_build):
-    return hinted_build[0]
+def hinted_build(hinted_traced):
+    """(the hinted store, the traced bytes it holds once aged)."""
+    return hinted_traced[:2]
+
+
+@pytest.fixture(scope="module")
+def hinted_store(hinted_traced):
+    return hinted_traced[0]
 
 
 def _hinted_store():
@@ -308,6 +320,14 @@ def test_aged_store_holds_at_most_500_bytes_per_object(hinted_build):
     aged store holds (records, owner runs, free runs) stays within 500 traced bytes per object."""
     store, held = hinted_build
     assert held <= 500 * len(store), f"the aged store holds {held / len(store):.0f} B per object"
+
+
+def test_safe_write_churn_leaves_no_volume_block_over_64_kib(hinted_traced):
+    """The owner map is small buckets by address, so the churn of safe writes (old runs deleted, new
+    ones inserted) rebuilds one bucket's table at a time: no live block allocated in volume.py, where a
+    table of every run was one block of 288 KiB, is larger than 64 KiB."""
+    size, where = hinted_traced[2]
+    assert size <= 64 * 1024, f"a block of {size} B allocated at {where}"
 
 
 def test_verify_starts_no_garbage_collection(hinted_store):

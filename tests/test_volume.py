@@ -5,9 +5,11 @@ from conftest import BitmapOracle, assert_matches_oracle
 from fraglab.errors import ConfigurationError, CorruptionError, InvariantViolationError
 from fraglab.rng import Xorshift64Star
 from fraglab.volume import (
+    OWNER_SHIFT,
     TEMP,
     Band,
     Extent,
+    OwnerMap,
     coalesce,
     create_volume,
     default_bands,
@@ -470,3 +472,91 @@ def test_write_runs_numbers_the_clusters_across_the_extents(flat_volume):
     assert vol.write_runs("x", extents) is extents
     assert vol.owners == {20: (4, "x", 0), 0: (6, "x", 4), 10: (10, "x", 10)}
     assert vol.owner_groups() == {"x": [20, 0, 10]}
+
+
+EDGE = 1 << OWNER_SHIFT   # clusters per owner-map bucket
+# below 0, at 0, either side of bucket edges, and past the end of a 4-bucket volume
+EDGE_OFFSETS = [-EDGE - 1, -EDGE, -1, 0, 1, EDGE - 1, EDGE, EDGE + 1, 2 * EDGE - 1, 3 * EDGE, 4 * EDGE - 1,
+                4 * EDGE, 9 * EDGE + 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.one_of(st.sampled_from(EDGE_OFFSETS), st.integers(-2 * EDGE, 6 * EDGE)),
+                          st.integers(0, 9)), max_size=60))
+def test_owner_map_behaves_as_a_dict_iterated_in_address_order(steps):
+    owners, plain = OwnerMap(), {}
+    for put, offset, length in steps:
+        if put:
+            owners[offset] = plain[offset] = (length, "k", offset)
+        elif offset in plain:
+            del owners[offset], plain[offset]
+        else:
+            with pytest.raises(KeyError):
+                del owners[offset]
+        assert (offset in owners, owners.get(offset), len(owners)) == (offset in plain, plain.get(offset), len(plain))
+    assert list(owners) == sorted(plain)
+    assert list(owners.items()) == sorted(plain.items())
+    assert list(owners.values()) == [plain[offset] for offset in sorted(plain)]
+    assert owners == plain and plain == owners and OwnerMap(plain) == owners and dict(owners) == plain
+    other = {**plain, 5 * EDGE: (1, "k", 0)}
+    assert owners != other and other != owners
+
+
+def test_owner_run_writes_match_a_dict_across_bucket_edges():
+    """write_runs, clear_markers and rekey_owners at offsets near bucket edges, against a plain dict: each
+    refusal raises its message and leaves the map as it was."""
+    vol = create_volume(4 * EDGE, 4096, [Band(0, 4 * EDGE, 60e6)])
+    model = {}
+    rng = Xorshift64Star(11)
+    points = [offset for offset in EDGE_OFFSETS if 0 <= offset < 4 * EDGE]
+    refused = 0
+    for _ in range(3000):
+        op, offset, length = rng.randrange(3), points[rng.randrange(len(points))], rng.randint(1, 2)
+        run = model.get(offset)
+        if op == 0 and run is not None:
+            refused += 1
+            with pytest.raises(InvariantViolationError, match=f"^cluster {offset} already starts an owner run$"):
+                vol.write_runs("x", [Extent(offset, length)])
+        elif op == 0:
+            key, seq = (TEMP, "x")[rng.randrange(2)], rng.randrange(50)
+            assert vol.write_runs(key, [Extent(offset, length)], seq) == [(offset, length)]
+            model[offset] = (length, key, seq)
+        elif run is None or run[0] != length or (op == 2 and run[1] is not TEMP):
+            refused += 1
+            what = "one owner run" if run is None or run[0] != length else "a TEMP run"
+            call = vol.clear_markers if op == 1 else lambda extents: vol.rekey_owners(extents, "y")
+            with pytest.raises(InvariantViolationError, match=f"^extent \\({offset}, {length}\\) is not {what}$"):
+                call([(offset, length)])
+        elif op == 1:
+            vol.clear_markers([(offset, length)])
+            del model[offset]
+        else:
+            vol.rekey_owners([(offset, length)], "y")
+            model[offset] = (length, "y", run[2])
+        assert vol.owners == model
+    assert list(vol.owners) == sorted(model) and refused > 300
+
+
+def test_deep_audit_sees_an_overlap_across_a_bucket_edge():
+    vol = create_volume(2 * EDGE, 4096, [Band(0, 2 * EDGE, 60e6)])
+    vol.free.take(EDGE - 2, 4)
+    vol.set_owner(EDGE - 2, 3, "x", 0)
+    vol.set_owner(EDGE, 1, "y", 0)   # cluster EDGE is in both runs, EDGE + 1 in neither
+    with pytest.raises(CorruptionError, match=f"^owner runs overlap at cluster {EDGE}$"):
+        vol.audit(deep=True)
+    vol.owners[EDGE - 2] = vol.owners[EDGE] = (2, "x", 0)
+    with pytest.raises(CorruptionError, match=f"^object 'x': duplicate sequence 0 at cluster {EDGE}$"):
+        vol.audit(deep=True)
+    vol.owners[EDGE] = (2, "x", 2)
+    vol.audit(deep=True)
+    assert vol.owner_sweep() == [EDGE - 2, EDGE]
+
+
+def test_match_layouts_walks_runs_in_any_bucket():
+    vol = create_volume(2 * EDGE, 4096, [Band(0, 2 * EDGE, 60e6)])
+    vol.write_runs("a", [Extent(EDGE + 3, 2), Extent(EDGE - 1, 1)])
+    vol.write_runs("b", [Extent(0, 4)])
+    assert vol.match_layouts([("a", (EDGE + 3, 2, EDGE - 1, 1)), ("b", (0, 4))]) == 3
+    for wrong in [("a", (EDGE - 1, 1)), ("a", (EDGE + 3, 2, EDGE - 1, 2)), ("b", (0, 4, 9, 1)), ("c", (0, 4)), ("b", ())]:
+        assert vol.match_layouts([wrong]) == -1, wrong
+    assert vol.match_layouts([]) == 0
